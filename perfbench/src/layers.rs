@@ -234,7 +234,7 @@ pub fn durable_depth(
         DurableScheduler::create(
             &backend,
             DynamicConfig::default(),
-            DEFAULT_CHECKPOINT_EVERY,
+            script.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
             store,
         )
     })

@@ -26,7 +26,7 @@ use check::Tally;
 use plan::{Script, Workload};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use trace::{median, quantile, Tracer};
+use trace::{median, middle_mean, quantile, Tracer};
 
 struct Args {
     server: PathBuf,
@@ -94,121 +94,163 @@ fn host_facts(args: &Args) -> String {
     )
 }
 
-/// The reference answers: the dynamic depth untraced, and
-/// `Scheduler::solve` in process.
-fn reference(scripts: &[Script], solves: &[plan::Solve]) -> Result<(Vec<u64>, Vec<usize>), String> {
-    let (runs, _) = layers::per_script(scripts, |script, _| layers::dynamic_depth(script, None));
-    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+/// Every round's inputs with the reference answers: the dynamic depth
+/// untraced for each trace set, and `Scheduler::solve` in process.
+fn reference(sets: Vec<Vec<Script>>, solves: &[plan::Solve]) -> Result<Vec<wire::Inputs>, String> {
     let mut tally = Tally::default();
     let colors = solves
         .iter()
         .enumerate()
         .map(|(index, solve)| layers::solve_depth(index, solve, None, &mut tally).map(|(c, _)| c))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((runs.iter().map(|r| r.fingerprint).collect(), colors))
+    let mut inputs = Vec::with_capacity(sets.len());
+    for scripts in sets {
+        let (runs, _) =
+            layers::per_script(&scripts, |script, _| layers::dynamic_depth(script, None));
+        let fingerprints = runs
+            .into_iter()
+            .map(|run| run.map(|r| r.fingerprint))
+            .collect::<Result<Vec<_>, _>>()?;
+        inputs.push(wire::Inputs::new(
+            scripts,
+            solves.to_vec(),
+            fingerprints,
+            colors.clone(),
+        ));
+    }
+    Ok(inputs)
 }
 
 type Metrics = Vec<(&'static str, f64, &'static str)>;
 
+/// Set-ups timed alone at the start of every untraced run.
+const SETUP_PROBES: usize = 10;
+
 fn end_to_end(
     args: &Args,
     run_dir: &Path,
-    inputs: &wire::Inputs,
+    inputs: &[wire::Inputs],
     tally: &mut Tally,
     log: &mut String,
 ) -> Result<Metrics, String> {
-    let deadline = trace::now_ns() + (args.seconds * 1e9) as u64;
+    let start_ns = trace::now_ns();
+    let deadline = start_ns + (args.seconds * 1e9) as u64;
+    // Set-up alone, several times: these and the rounds' set-ups give
+    // `setup_s`, and the first ones warm the page cache and the allocator
+    // before any round is timed.
+    let mut setups = Vec::with_capacity(SETUP_PROBES);
+    for probe in 0..SETUP_PROBES {
+        let dir = run_dir.join(format!("setup-{probe}"));
+        let set = &inputs[probe % inputs.len()];
+        setups.push(wire::setup_only(&args.server, &dir, set, tally)?);
+    }
     let plan = &args.workload.solves;
-    // Enough rounds to send every cycle once, then until time is up.
-    let min_rounds = plan.cycles.div_ceil(plan.per_round);
+    // Enough rounds to send every cycle and every trace set once, then
+    // until time is up. The first round of each set is the checked one.
+    let min_rounds = plan.cycles.div_ceil(plan.per_round).max(inputs.len());
     let mut rounds = Vec::new();
     while rounds.len() < min_rounds || trace::now_ns() < deadline {
         let dir = run_dir.join(format!("round-{}", rounds.len()));
         let cycles = plan::round_cycles(plan, rounds.len());
-        let certify = rounds.is_empty();
+        let check = rounds.len() < inputs.len();
         rounds.push(wire::round(
             &args.server,
             &dir,
-            inputs,
+            &inputs[rounds.len() % inputs.len()],
             &cycles,
             false,
-            certify,
+            check,
             tally,
         )?);
     }
-    // Other tenants of the host slow some rounds down, never speed one up:
-    // timings take the fastest tenth of rounds (of samples for the solves;
-    // the fastest one when there are fewer than ten), which is what repeats
-    // from run to run.
-    let best = |values: Vec<f64>| quantile(&values, 0.1);
+    // Other tenants of the host slow whole stretches of seconds down, so
+    // rounds and solves come in a fast and a slow kind, and now and then
+    // one stalls. Each figure is therefore the mean of the middle half of
+    // its per-round values (of its samples, for solves and set-ups): it
+    // moves smoothly with the share of slow ones, where a median of a few
+    // jumps from one kind to the other as that share crosses a half, and a
+    // stall does not reach it, where it would reach a pooled figure.
     let per_round = |f: &dyn Fn(&wire::Round) -> f64| rounds.iter().map(f).collect::<Vec<_>>();
-    let solve = |k: usize| {
-        best(
-            rounds
-                .iter()
-                .flat_map(|r| r.solve_ms[k].iter().copied())
-                .collect(),
-        )
-    };
-    let round_p50: Vec<String> = rounds
-        .iter()
-        .map(|r| format!("{:.4}", median(&r.write_ms)))
-        .collect();
-    let _ = writeln!(log, "per-round write p50 ms: {}", round_p50.join(" "));
-    // Every solve sent was checked against the reference; colors add up the
-    // sessions and one answer for each solve of every cycle.
-    let solve_colors: std::collections::BTreeMap<usize, usize> = rounds
-        .iter()
-        .flat_map(|r| r.solve_colors.iter().copied())
-        .collect();
-    let colors = rounds[0].colors + solve_colors.values().sum::<usize>();
     let pooled = |f: fn(&wire::Round) -> &Vec<f64>| {
         rounds
             .iter()
             .flat_map(|r| f(r).iter().copied())
             .collect::<Vec<_>>()
     };
+    setups.extend(per_round(&|r| r.setup_s));
+    let round_p50: Vec<String> = rounds
+        .iter()
+        .map(|r| format!("{:.4}", median(&r.write_ms)))
+        .collect();
+    let _ = writeln!(log, "per-round write p50 ms: {}", round_p50.join(" "));
+    // Every solve sent was checked against the reference; colors add up the
+    // sessions of every trace set and one answer for each solve of every
+    // cycle.
+    let solve_colors: std::collections::BTreeMap<usize, usize> = rounds
+        .iter()
+        .flat_map(|r| r.solve_colors.iter().copied())
+        .collect();
+    let session_colors: usize = rounds[..inputs.len()].iter().map(|r| r.colors).sum();
+    let colors = session_colors + solve_colors.values().sum::<usize>();
+    let (writes, reads) = (pooled(|r| &r.write_ms), pooled(|r| &r.read_ms));
+    let round_mean = |f: &dyn Fn(&wire::Round) -> f64| middle_mean(&per_round(f));
     let _ = writeln!(
         log,
-        "rounds {} ({} pinned) | writes {} (pooled p99 {:.4} ms) | reads {} (pooled p99 {:.4} ms) \
-         | solves/kind {} | daemon threads {} | restart after kill {:.4} s (not gated)",
+        "rounds {} ({} pinned) in {:.1} s | setups {} | writes {} (pooled p99 {:.4} ms) \
+         | reads {} (pooled p99 {:.4} ms) | solves/kind {} | daemon threads {} \
+         | restart after kill {:.4} s (not gated)",
         rounds.len(),
         rounds.iter().filter(|r| r.pinned).count(),
-        pooled(|r| &r.write_ms).len(),
-        quantile(&pooled(|r| &r.write_ms), 0.99),
-        pooled(|r| &r.read_ms).len(),
-        quantile(&pooled(|r| &r.read_ms), 0.99),
-        rounds[0].solve_ms[0].len() * rounds.len(),
+        trace::secs(start_ns, trace::now_ns()),
+        setups.len(),
+        writes.len(),
+        quantile(&writes, 0.99),
+        reads.len(),
+        quantile(&reads, 0.99),
+        pooled(|r| &r.solve_ms[0]).len(),
         rounds[0].daemon_threads,
-        best(per_round(&|r| r.recover_s)),
+        median(
+            &rounds[..inputs.len()]
+                .iter()
+                .map(|r| r.recover_s)
+                .collect::<Vec<_>>()
+        ),
     );
     Ok(vec![
-        ("setup_s", best(per_round(&|r| r.setup_s)), "s"),
-        (
-            "events_per_s",
-            quantile(&per_round(&|r| r.events_per_s), 0.9),
-            "1/s",
-        ),
-        (
-            "write_p50_ms",
-            best(per_round(&|r| quantile(&r.write_ms, 0.5))),
-            "ms",
-        ),
+        ("setup_s", middle_mean(&setups), "s"),
+        ("events_per_s", round_mean(&|r| r.events_per_s), "1/s"),
+        ("write_p50_ms", round_mean(&|r| median(&r.write_ms)), "ms"),
         (
             "write_p95_ms",
-            best(per_round(&|r| quantile(&r.write_ms, 0.95))),
+            round_mean(&|r| quantile(&r.write_ms, 0.95)),
+            "ms",
+        ),
+        ("read_p50_ms", round_mean(&|r| median(&r.read_ms)), "ms"),
+        (
+            "solve_dense_ms",
+            middle_mean(&pooled(|r| &r.solve_ms[0])),
             "ms",
         ),
         (
-            "read_p50_ms",
-            best(per_round(&|r| quantile(&r.read_ms, 0.5))),
+            "solve_sparse_ms",
+            middle_mean(&pooled(|r| &r.solve_ms[1])),
             "ms",
         ),
-        ("solve_dense_ms", solve(0), "ms"),
-        ("solve_sparse_ms", solve(1), "ms"),
-        ("solve_parallel_ms", solve(2), "ms"),
+        (
+            "solve_parallel_ms",
+            middle_mean(&pooled(|r| &r.solve_ms[2])),
+            "ms",
+        ),
         ("colors", colors as f64, "count"),
-        ("peak_rss_mib", best(per_round(&|r| r.peak_rss_mib)), "MiB"),
+        // Rounds take turns over instances of different footprints: the
+        // lowest peak is that of one instance, whichever rounds ran.
+        (
+            "peak_rss_mib",
+            per_round(&|r| r.peak_rss_mib)
+                .into_iter()
+                .fold(f64::INFINITY, f64::min),
+            "MiB",
+        ),
     ])
 }
 
@@ -359,8 +401,12 @@ fn render_metrics(metrics: &Metrics) -> String {
 
 fn run(args: &Args) -> Result<(), String> {
     let w = &args.workload;
-    let scripts: Vec<Script> = (0..w.sessions.connections)
-        .map(|conn| plan::script(&w.sessions, args.seed, conn))
+    let mut sets: Vec<Vec<Script>> = (0..plan::TRACE_SETS)
+        .map(|set| {
+            (0..w.sessions.connections)
+                .map(|conn| plan::script(&w.sessions, args.seed, set, conn))
+                .collect()
+        })
         .collect();
     let solves = plan::solves(&w.solves, args.seed);
     let run_dir =
@@ -373,10 +419,11 @@ fn run(args: &Args) -> Result<(), String> {
     let host = host_facts(args);
     let _ = writeln!(log, "host {host}");
     let (metrics, spans) = if args.trace {
+        // The traced run replays the first trace set.
+        let scripts = sets.swap_remove(0);
         traced_run(args, &run_dir, &scripts, &solves, &mut tally, &mut log)?
     } else {
-        let (fingerprints, solve_colors) = reference(&scripts, &solves)?;
-        let inputs = wire::Inputs::new(scripts.clone(), solves.clone(), fingerprints, solve_colors);
+        let inputs = reference(sets, &solves)?;
         (
             end_to_end(args, &run_dir, &inputs, &mut tally, &mut log)?,
             String::new(),

@@ -27,6 +27,8 @@ pub struct SessionPlan {
     pub events: usize,
     /// A `color` read after every this-many events.
     pub color_every: usize,
+    /// Snapshot cadence of every session; `None` for the durable default.
+    pub checkpoint_every: Option<usize>,
 }
 
 /// Cycles of three batch solves, one of each kind; family seeds advance
@@ -66,13 +68,19 @@ const SIDE_SOLVES: SolvePlan = SolvePlan {
     sparse_n: 400,
 };
 
-/// The small dense session `batch_solve` runs before its solves.
+/// The small dense sessions `batch_solve` runs before its solves: the shape
+/// of `session_small`, shorter. With a single connection the round trips
+/// of a round took either about 30 or about 45 µs, from daemon to daemon.
+/// They snapshot only when created: at the default cadence a snapshot's
+/// `sync_data` every 64 events halved their events per second whenever the
+/// host's disk was busy, which no part of this workload is about.
 const SIDE_SESSIONS: SessionPlan = SessionPlan {
-    connections: 1,
+    connections: 2,
     universe: 400,
     target_live: 120,
     events: 2000,
     color_every: 16,
+    checkpoint_every: Some(4096),
 };
 
 /// Every workload, in the order `BENCHMARK.json` lists them.
@@ -85,6 +93,7 @@ pub const WORKLOADS: [Workload; 3] = [
             target_live: 120,
             events: 6000,
             color_every: 16,
+            checkpoint_every: None,
         },
         solves: SIDE_SOLVES,
     },
@@ -99,6 +108,7 @@ pub const WORKLOADS: [Workload; 3] = [
             // `durability.tail_recover_failures` for why).
             events: 5120,
             color_every: 16,
+            checkpoint_every: None,
         },
         solves: SIDE_SOLVES,
     },
@@ -123,9 +133,16 @@ pub fn workload(name: &str) -> Option<Workload> {
     WORKLOADS.into_iter().find(|w| w.name == name)
 }
 
-/// Family and trace seed of connection `conn`.
-pub fn session_seed(seed: u64, conn: usize) -> u64 {
-    seed.wrapping_mul(1000).wrapping_add(conn as u64)
+/// Trace sets of a run. Rounds take turns over them, so that a run's
+/// figures do not rest on one instance per connection: replayed in
+/// process, one seed's `session_large` trace ran about a tenth faster
+/// than the others'.
+pub const TRACE_SETS: usize = 3;
+
+/// Family and trace seed of connection `conn` in trace set `set`.
+pub fn session_seed(plan: &SessionPlan, seed: u64, set: usize, conn: usize) -> u64 {
+    seed.wrapping_mul(1000)
+        .wrapping_add((set * plan.connections + conn) as u64)
 }
 
 /// Family seed of solve cycle `cycle`.
@@ -169,6 +186,8 @@ pub struct Script {
     pub seed: u64,
     /// Universe size.
     pub universe: usize,
+    /// Snapshot cadence; `None` for the durable default.
+    pub checkpoint_every: Option<usize>,
     /// The ops, in order.
     pub ops: Vec<Op>,
 }
@@ -185,7 +204,7 @@ impl Script {
             variant: Variant::Bidirectional,
             params: None,
             config: None,
-            checkpoint_every: None,
+            checkpoint_every: self.checkpoint_every,
             backend: None,
         }
     }
@@ -214,10 +233,11 @@ impl Script {
     }
 }
 
-/// The script of connection `conn`: its churn trace with a `color` read of
-/// the lowest live item after every `color_every` events.
-pub fn script(plan: &SessionPlan, seed: u64, conn: usize) -> Script {
-    let seed = session_seed(seed, conn);
+/// The script of connection `conn` in trace set `set`: its churn trace
+/// with a `color` read of the lowest live item after every `color_every`
+/// events.
+pub fn script(plan: &SessionPlan, seed: u64, set: usize, conn: usize) -> Script {
+    let seed = session_seed(plan, seed, set, conn);
     let trace = churn_trace_for(plan.universe, plan.target_live, plan.events, seed);
     let mut live: BTreeMap<usize, u64> = BTreeMap::new();
     let mut next_id = 0u64;
@@ -247,6 +267,7 @@ pub fn script(plan: &SessionPlan, seed: u64, conn: usize) -> Script {
         name: session_name(conn),
         seed,
         universe: plan.universe,
+        checkpoint_every: plan.checkpoint_every,
         ops,
     }
 }

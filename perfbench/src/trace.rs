@@ -137,6 +137,19 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The mean of the middle half of unsorted samples (the interquartile
+/// mean); `0` when there are none.
+pub fn middle_mean(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let cut = sorted.len() / 4;
+    let middle = &sorted[cut..sorted.len() - cut];
+    if middle.is_empty() {
+        return 0.0;
+    }
+    middle.iter().sum::<f64>() / middle.len() as f64
+}
+
 /// The median of unsorted samples.
 pub fn median(samples: &[f64]) -> f64 {
     quantile(samples, 0.5)

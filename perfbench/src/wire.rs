@@ -1,7 +1,9 @@
 //! One round against the real daemon over loopback: spawn, open every
 //! session, replay the scripts in a closed loop (one connection and one
-//! thread per session), certify, run the solves, SIGKILL, restart, and
-//! check that every session came back bit-for-bit.
+//! thread per session), compare every session with the replay, run the
+//! solves and kill the daemon. A checked round also certifies every
+//! session, restarts the daemon after the SIGKILL and checks that every
+//! session came back bit-for-bit.
 //!
 //! This is the outermost depth of the traced run too: with `traced` set,
 //! every round trip is also recorded as a `wire.rtt` span.
@@ -68,9 +70,10 @@ impl Inputs {
 pub struct Round {
     /// Spawn until a ping answers and every session is open, in seconds.
     pub setup_s: f64,
-    /// Restart after the SIGKILL until a ping answers, in seconds.
+    /// Restart after the SIGKILL until a ping answers, in seconds (checked
+    /// rounds only).
     pub recover_s: f64,
-    /// Churn events per second over both connections.
+    /// Churn events per second over every connection.
     pub events_per_s: f64,
     /// Daemon `VmHWM` before the kill, in MiB.
     pub peak_rss_mib: f64,
@@ -192,25 +195,18 @@ fn request(client: &mut Client, request: &WireRequest) -> Result<WireResponse, S
     )
 }
 
-/// Runs one round in `dir` (which must not exist yet), with the solves of
-/// `cycles`. With `certify`, the daemon also certifies every session
-/// against the naive evaluator; rounds repeat the same session ops, so one
-/// certified round per run suffices.
-pub fn round(
+/// Spawns the daemon over a fresh data dir in `dir`, pings it and opens
+/// every session, each on its own connection; returns the daemon, the
+/// clients and the seconds that took.
+fn start(
     bin: &Path,
     dir: &Path,
     inputs: &Inputs,
-    cycles: &[usize],
-    traced: bool,
-    certify: bool,
     tally: &mut Tally,
-) -> Result<Round, String> {
-    let data = dir.join("data");
+) -> Result<(Daemon, Vec<Client>, f64), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let mut round = Round::default();
-
     let start = now_ns();
-    let daemon = Daemon::spawn(bin, &data, &dir.join("daemon.log"))?;
+    let daemon = Daemon::spawn(bin, &dir.join("data"), &dir.join("daemon.log"))?;
     let mut clients = Vec::with_capacity(inputs.scripts.len());
     for script in &inputs.scripts {
         let mut client = daemon.connect()?;
@@ -226,7 +222,41 @@ pub fn round(
         tally.op(fresh, || format!("open {}: {opened:?}", script.name));
         clients.push(client);
     }
-    round.setup_s = secs(start, now_ns());
+    Ok((daemon, clients, secs(start, now_ns())))
+}
+
+/// Set-up alone, in `dir` (which must not exist yet): spawn, ping, open
+/// every session, kill. Returns the seconds until every session was open.
+pub fn setup_only(
+    bin: &Path,
+    dir: &Path,
+    inputs: &Inputs,
+    tally: &mut Tally,
+) -> Result<f64, String> {
+    let (daemon, clients, setup_s) = start(bin, dir, inputs, tally)?;
+    drop(clients);
+    daemon.kill();
+    let _ = std::fs::remove_dir_all(dir);
+    Ok(setup_s)
+}
+
+/// Runs one round in `dir` (which must not exist yet), with the solves of
+/// `cycles`. With `check`, the daemon also certifies every session against
+/// the naive evaluator, and is SIGKILLed and restarted to check that every
+/// session comes back bit-for-bit; rounds repeat the same session ops, so
+/// one checked round per run suffices.
+pub fn round(
+    bin: &Path,
+    dir: &Path,
+    inputs: &Inputs,
+    cycles: &[usize],
+    traced: bool,
+    check: bool,
+    tally: &mut Tally,
+) -> Result<Round, String> {
+    let mut round = Round::default();
+    let (daemon, mut clients, setup_s) = start(bin, dir, inputs, tally)?;
+    round.setup_s = setup_s;
     round.pinned = daemon.pin_session_threads();
 
     let phase_start = now_ns();
@@ -262,10 +292,10 @@ pub fn round(
         .zip(&inputs.scripts)
         .zip(&inputs.session_fingerprints)
     {
-        let stats = request(client, &script.stats_request(certify)).and_then(|r| stats_of(&r));
+        let stats = request(client, &script.stats_request(check)).and_then(|r| stats_of(&r));
         match stats {
             Ok((fp, colors, validated)) => {
-                tally.op(fp == want && validated == certify, || {
+                tally.op(fp == want && validated == check, || {
                     format!(
                         "{}: fingerprint {fp:016x} (certified {validated}), replay {want:016x}",
                         script.name
@@ -319,16 +349,31 @@ pub fn round(
     round.daemon_threads = daemon.threads().unwrap_or(0);
     drop(clients);
     daemon.kill();
+    if check {
+        restart(bin, dir, inputs, &fingerprints, &mut round, tally)?;
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    Ok(round)
+}
 
-    // Restart over the same data dir; the daemon recovers every session
-    // before it announces its address.
+/// Restarts the daemon over the killed one's data dir, which recovers every
+/// session before it announces its address, and checks each against its
+/// pre-kill fingerprint.
+fn restart(
+    bin: &Path,
+    dir: &Path,
+    inputs: &Inputs,
+    fingerprints: &[Option<u64>],
+    round: &mut Round,
+    tally: &mut Tally,
+) -> Result<(), String> {
     let start = now_ns();
-    let daemon = Daemon::spawn(bin, &data, &dir.join("restart.log"))?;
+    let daemon = Daemon::spawn(bin, &dir.join("data"), &dir.join("restart.log"))?;
     let pinged = daemon.ping();
     round.recover_s = secs(start, now_ns());
     tally.op(pinged, || "ping after restart".into());
     let mut client = daemon.connect()?;
-    for (script, before) in inputs.scripts.iter().zip(fingerprints) {
+    for (script, &before) in inputs.scripts.iter().zip(fingerprints) {
         let after = request(&mut client, &script.stats_request(false)).and_then(|r| stats_of(&r));
         let ok = matches!((&after, before), (Ok((fp, _, _)), Some(b)) if *fp == b);
         tally.op(ok, || {
@@ -341,6 +386,5 @@ pub fn round(
     }
     drop(client);
     daemon.kill();
-    let _ = std::fs::remove_dir_all(dir);
-    Ok(round)
+    Ok(())
 }
