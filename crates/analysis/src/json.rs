@@ -3,8 +3,8 @@
 //!
 //! Determinism is the point: objects render their entries in insertion
 //! order and every call site inserts in sorted order, so two runs over the
-//! same tree produce byte-identical output (an acceptance criterion for
-//! `oblint`). Floats are deliberately unsupported — nothing the tool
+//! same tree produce byte-identical output (a requirement of `oblint`'s
+//! baseline ratchet). Floats are deliberately unsupported — nothing the tool
 //! serializes needs them, and excluding them removes the one classic
 //! source of formatting divergence.
 

@@ -1,7 +1,7 @@
 //! Shared replay loops of the churn workloads — the single definition of
 //! "run a trace incrementally" and "run a trace with full reschedules" used
-//! by experiment E10, the `churn` criterion bench, and the harness tests, so
-//! they all measure exactly the same event loop.
+//! by experiment E10, the perf suite and the harness tests, so they all
+//! measure exactly the same event loop.
 
 use oblisched::durability::{DurabilityError, DurableScheduler, SessionStore};
 use oblisched::dynamic::{DynamicConfig, DynamicScheduler};
@@ -33,7 +33,7 @@ pub fn replay_incremental<'s, S: GainBackend + ?Sized>(
 /// [`replay_incremental`] with a hook called after every applied event
 /// (receiving the scheduler state and the 0-based event index) — the loop
 /// the per-event-validating acceptance test runs is thereby exactly the loop
-/// E10 and the `churn` bench time.
+/// E10 and the perf suite time.
 ///
 /// # Panics
 ///

@@ -550,8 +550,8 @@ pub fn e8_directed_simulation_and_energy() -> Table {
 /// recording colors and wall time for both paths (the naive path is skipped
 /// beyond `n = 1000`, where it takes minutes). Where both run, the colorings
 /// are asserted identical — the engine's exact-equivalence guarantee,
-/// measured rather than assumed. The full `n = 5000` acceptance measurement
-/// lives in the `scaling` criterion bench.
+/// measured rather than assumed — and the uniform `n = 1000` row, the
+/// largest the naive path runs at, asserts the engine's ≥ 10× speedup.
 pub fn e9_scaling_engine() -> Table {
     use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
     use oblisched_sinr::GainMatrix;
@@ -616,6 +616,13 @@ pub fn e9_scaling_engine() -> Table {
         let (engine, engine_ms) = time_first_fit(&|| first_fit_coloring(&view));
         let naive = (n <= NAIVE_LIMIT)
             .then(|| time_first_fit(&|| oblisched::first_fit_coloring_naive(&view)));
+        if let Some((_, naive_ms)) = naive.as_ref().filter(|_| n == NAIVE_LIMIT) {
+            let speedup = naive_ms / engine_ms.max(1e-9);
+            assert!(
+                speedup >= 10.0,
+                "the engine must be >= 10x faster than naive at uniform n={n}, got {speedup:.1}x"
+            );
+        }
         run_row("uniform", (n, engine, engine_ms, naive));
     }
     for &n in &[200usize, 500, 2000] {
@@ -633,9 +640,7 @@ pub fn e9_scaling_engine() -> Table {
     table.push_note(
         "where both paths run the colorings are asserted identical (exact-equivalence guarantee)",
     );
-    table.push_note(
-        "the n=5000 >=10x acceptance measurement is the `scaling` criterion bench's speedup-check",
-    );
+    table.push_note("asserted: the engine is >= 10x faster than naive on the uniform n=1000 row");
     table
 }
 
@@ -706,6 +711,13 @@ pub fn e10_dynamic_churn() -> Table {
 
             let dyn_ms = dyn_time.as_secs_f64() * 1e3;
             let full_ms = full_time.as_secs_f64() * 1e3;
+            let speedup = full_ms / dyn_ms.max(1e-9);
+            assert!(
+                speedup >= 3.0,
+                "incremental maintenance must be >= 3x faster than full reschedules on \
+                 {family}/{}, got {speedup:.1}x",
+                power.name()
+            );
             table.push_row(vec![
                 family.to_string(),
                 power.name(),
@@ -716,7 +728,7 @@ pub fn e10_dynamic_churn() -> Table {
                 format!("{dyn_ms:.1}"),
                 format!("{:.1}", dyn_ms * 1e3 / trace.len() as f64),
                 format!("{full_ms:.1}"),
-                format!("{:.1}x", full_ms / dyn_ms.max(1e-9)),
+                format!("{speedup:.1}x"),
             ]);
             // Both strategies of this row replay on the cached dense matrix.
             table.push_engine(
@@ -762,7 +774,7 @@ pub fn e10_dynamic_churn() -> Table {
     }
     table.push_note("seed-pinned workloads (seed 42): universe 400, target 260 live, 800 events, cached gain matrix for both strategies");
     table.push_note("the final dynamic state is validated against the naive evaluator before timing is reported");
-    table.push_note("expectation: incremental maintenance beats the full-reschedule baseline on total wall time at similar color counts");
+    table.push_note("asserted: incremental maintenance is >= 3x faster than the full-reschedule baseline on every dense-tier row, at similar color counts");
     table.push_note("large-tier rows (10k/50k universes, live target n/4 capped at 8000) replay on the facade-selected sparse churn backend; '-' marks the skipped full-reschedule baseline, and the grown backend is asserted under the 64 MiB budget");
     table
 }
@@ -783,7 +795,9 @@ pub fn e10_dynamic_churn() -> Table {
 /// classes the exact checker rejects, and the experiment *asserts* it is
 /// zero — the sparse tier's conservativeness guarantee, measured rather
 /// than assumed. The two parallel runs are asserted identical (thread-count
-/// determinism). Engine decisions (backend, bytes, budget) are recorded in
+/// determinism), and each must beat the dense ceiling (best of two runs)
+/// and be at least 2× faster than serial first-fit on the same sparse
+/// backend. Engine decisions (backend, bytes, budget) are recorded in
 /// the table's structured `engines` list, one per row.
 pub fn e11_backend_tiers() -> Table {
     use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
@@ -801,17 +815,21 @@ pub fn e11_backend_tiers() -> Table {
 
     // Dense tier at its ceiling: build the full matrix and color on it —
     // n = 2000 is the largest size whose bidirectional matrix (61 MiB) still
-    // fits the facade's 64 MiB budget.
+    // fits the facade's 64 MiB budget. Best of two runs: the parallel floors
+    // below read against it, and one sample on a busy host can flake.
     let inst2k = oblisched_instances::scaling_uniform(2000, 42);
     let eval2k = inst2k.evaluator(p, &ObliviousPower::SquareRoot);
-    let start = std::time::Instant::now();
-    let matrix = eval2k.view(Variant::Bidirectional).cached();
-    let dense_schedule = first_fit_coloring(&matrix);
-    let dense_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (mut dense_ms, mut dense_colors) = (f64::INFINITY, 0);
+    for _ in 0..2 {
+        let start = std::time::Instant::now();
+        let matrix = eval2k.view(Variant::Bidirectional).cached();
+        dense_colors = first_fit_coloring(&matrix).num_colors();
+        dense_ms = dense_ms.min(start.elapsed().as_secs_f64() * 1e3);
+    }
     table.push_row(vec![
         "dense".into(),
         "2000".into(),
-        dense_schedule.num_colors().to_string(),
+        dense_colors.to_string(),
         format!("{dense_ms:.0}"),
         mib(GainMatrix::bytes_for(2000, 2)),
         "-".into(),
@@ -920,6 +938,17 @@ pub fn e11_backend_tiers() -> Table {
     for (threads, schedule, ms, bytes) in &par_runs {
         let bad = non_conservative(schedule);
         assert_eq!(bad, 0, "parallel-sparse verdicts must be conservative");
+        // The tier floors: at 5x the size, parallel-sparse beats the dense
+        // ceiling and halves the same-backend serial time at 1 and 8 threads.
+        assert!(
+            *ms < dense_ms,
+            "parallel-sparse at {threads}t ({ms:.0} ms) must beat dense n=2000 ({dense_ms:.0} ms)"
+        );
+        assert!(
+            serial_same_ms >= 2.0 * ms,
+            "parallel-sparse at {threads}t ({ms:.0} ms) must be >= 2x faster than serial \
+             sparse on the same backend ({serial_same_ms:.0} ms)"
+        );
         table.push_row(vec![
             format!("parallel-sparse ({threads}t)"),
             "10000".into(),
@@ -948,10 +977,10 @@ pub fn e11_backend_tiers() -> Table {
         GainMatrix::bytes_for(10_000, 2),
         DEFAULT_MATRIX_BUDGET
     ));
-    table.push_note("seed-pinned uniform scaling family (seed 42); wall time is backend build + scheduling (validation excluded, reported in the last column)");
+    table.push_note("seed-pinned uniform scaling family (seed 42); wall time is backend build + scheduling (validation excluded, reported in the last column); dense is the best of two runs");
     table.push_note("non-conservative = multi-member classes the naive evaluator rejects (asserted zero: sparse verdicts are conservative)");
     table.push_note("parallel rows: tile-sharded scheduling (64 shards, shard gain slack 3.0, sparse cutoff 2e-3, folded ports); 1t vs 8t schedules asserted identical");
-    table.push_note("the parallel speedup reads against the same-backend serial row (sparse 2e-3); on a single-core host the gain is the sharded probe-work reduction, extra threads pay off on multi-core hardware");
+    table.push_note("asserted: parallel-sparse (1t and 8t) is faster than dense n=2000 and >= 2x faster than the same-backend serial row (sparse 2e-3); on a single-core host the gain is the sharded probe-work reduction, extra threads pay off on multi-core hardware");
     table
 }
 

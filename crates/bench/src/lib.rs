@@ -4,9 +4,10 @@
 //! experimental section; its "evaluation" is the set of quantitative claims
 //! made by its theorems. This crate regenerates each of those claims as a
 //! table (experiments E1–E8, see `DESIGN.md` and `EXPERIMENTS.md`), plus the
-//! E9 scaling measurement of the incremental interference engine and
-//! criterion micro-benchmarks of the computational kernels (including the
-//! `scaling` bench comparing the engine against the naive evaluator).
+//! E9–E11 measurements of the engine tiers (incremental engine vs naive
+//! evaluator, dynamic churn, dense vs sparse vs parallel-sparse), whose
+//! speedup floors they assert, and the pinned perf suite behind the CI
+//! regression gate.
 //!
 //! Run all experiments with
 //! `cargo run -p oblisched_bench --bin experiments --release`, or a single one
@@ -17,7 +18,6 @@
 
 pub mod churn;
 pub mod experiments;
-pub mod jobs;
 pub mod perf;
 pub mod table;
 pub mod tiers;
@@ -27,10 +27,6 @@ pub use churn::{
     replay_incremental_with,
 };
 pub use experiments::{all_experiments, run_experiment, Experiment};
-pub use jobs::{
-    run_job, run_jobs_document, run_session, JobError, JobReport, JobSpec, SessionJob,
-    SessionReport, SessionSpec,
-};
 pub use perf::{run_suite, PerfCase, PerfReport};
 pub use table::Table;
 pub use tiers::{

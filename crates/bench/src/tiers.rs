@@ -1,10 +1,8 @@
 //! Shared harness of the backend-tier measurements: the one tuning profile
-//! used by both experiment E11 and the `sparse` criterion bench, so the
-//! documented table and the CI assertions can never drift onto different
-//! configurations (the same convention the churn replay helpers establish
-//! for E10).
+//! used by both experiment E11 and the perf suite, so the documented table
+//! and the timed cases can never drift onto different configurations (the
+//! same convention the churn replay helpers establish for E10).
 
-use oblisched::solve::{PowerAssignment, SolveRequest};
 use oblisched::ParallelConfig;
 use oblisched_sinr::{Evaluator, Schedule, SparseConfig, Variant};
 
@@ -32,18 +30,9 @@ pub fn parallel_tier_config(num_threads: usize) -> ParallelConfig {
     }
 }
 
-/// The parallel tier as a typed job: the [`SolveRequest`] equivalent of
-/// [`parallel_tier_sparse_config`], ready for a JSONL job file. Pair it
-/// with `Scheduler::parallel_config(parallel_tier_config(num_threads))`
-/// when the shard gain slack should match the tier measurements too.
-pub fn parallel_tier_request(num_threads: usize) -> SolveRequest {
-    SolveRequest::parallel(PowerAssignment::SquareRoot, num_threads)
-        .with_sparse_config(parallel_tier_sparse_config())
-}
-
 /// Counts the multi-member classes of `schedule` that the naive evaluator
 /// rejects — the tier measurements' "non-conservative" column, asserted
-/// zero by E11 and the `sparse` bench alike.
+/// zero by E11.
 pub fn non_conservative_classes<M: oblisched_metric::MetricSpace>(
     eval: &Evaluator<'_, M>,
     variant: Variant,
@@ -67,12 +56,6 @@ mod tests {
         assert_eq!(parallel_tier_config(8).num_threads, 8);
         assert!(parallel_tier_config(1).shard_gain_slack >= 1.0);
         assert!(parallel_tier_sparse_config().cutoff_fraction > 0.0);
-        let request = parallel_tier_request(4);
-        assert_eq!(
-            request.strategy,
-            oblisched::solve::SolveStrategy::Parallel { num_threads: 4 }
-        );
-        assert_eq!(request.sparse, Some(parallel_tier_sparse_config()));
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! one entry point — [`Scheduler::solve`], which consumes a typed,
 //! serializable [`SolveRequest`] and returns a [`ScheduleResult`] whose
 //! schedule has been validated against the exact SINR checker, or a typed
-//! [`ScheduleError`]. The older per-algorithm `schedule_*` methods remain as
-//! `#[deprecated]` thin wrappers for one release.
+//! [`ScheduleError`].
 
 use crate::decomposition::{sqrt_schedule_via_decomposition, DecompositionConfig};
 use crate::greedy::first_fit_coloring;
 use crate::parallel::{parallel_first_fit, tile_shards, ParallelConfig, DEFAULT_TARGET_SHARDS};
 use crate::power_control::{greedy_with_power_control, PowerControlConfig};
 use crate::solve::{
-    Algorithm, Assignment, BackendPolicy, ScheduleError, SolveLabel, SolveRequest, SolveStrategy,
+    Algorithm, Assignment, BackendPolicy, PowerAssignment, ScheduleError, SolveLabel, SolveRequest,
+    SolveStrategy,
 };
 use crate::sqrt_coloring::{sqrt_coloring, SqrtColoringConfig};
 use oblisched_metric::{MetricSpace, PlanarMetric};
@@ -21,10 +21,9 @@ use oblisched_sinr::engine::{RowRef, MAX_PORTS};
 use oblisched_sinr::feasibility::VariantView;
 use oblisched_sinr::{
     Evaluator, GainBackend, GainMatrix, IncrementalSystem, Instance, InterferenceSystem,
-    ObliviousPower, PowerScheme, Schedule, SinrError, SinrParams, SparseChurnMatrix, SparseConfig,
+    ObliviousPower, Schedule, SinrError, SinrParams, SparseChurnMatrix, SparseConfig,
     SparseGainMatrix, Variant,
 };
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -56,7 +55,8 @@ impl fmt::Display for EngineBackend {
 /// How the facade answered the backend question for one run: which tier it
 /// chose, what it would have cost to go dense, and against which budget the
 /// decision was made. Surfaced in every [`ScheduleResult`] so the choice is
-/// never silent (the experiments binary and the `jobs` runner log it).
+/// never silent (the experiments binary and the daemon's `solved` replies
+/// report it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// The backend the run used.
@@ -344,6 +344,8 @@ impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scheduler {
     params: SinrParams,
+    /// The variant of the request being solved: [`Scheduler::solve`] sets
+    /// it on its per-call copy.
     variant: Variant,
     matrix_budget: usize,
     sparse_config: SparseConfig,
@@ -357,8 +359,8 @@ pub struct Scheduler {
 pub const DEFAULT_MATRIX_BUDGET: usize = 64 * 1024 * 1024;
 
 impl Scheduler {
-    /// Creates a scheduler for the bidirectional variant (the paper's main
-    /// setting) with the given parameters.
+    /// Creates a scheduler with the given parameters and the default
+    /// budget, sparse and parallel configurations.
     pub fn new(params: SinrParams) -> Self {
         Self {
             params,
@@ -367,14 +369,6 @@ impl Scheduler {
             sparse_config: SparseConfig::default(),
             parallel_config: ParallelConfig::default(),
         }
-    }
-
-    /// Selects the default problem variant used by the deprecated
-    /// `schedule_*` wrappers ([`Scheduler::solve`] takes the variant from
-    /// its [`SolveRequest`] instead).
-    pub fn variant(mut self, variant: Variant) -> Self {
-        self.variant = variant;
-        self
     }
 
     /// Sets the memory budget (in bytes) under which the facade caches the
@@ -404,13 +398,8 @@ impl Scheduler {
         self.params
     }
 
-    /// The default problem variant.
-    pub fn problem_variant(&self) -> Variant {
-        self.variant
-    }
-
     /// Solves one typed scheduling request — the single entry point every
-    /// strategy, example, experiment and the `jobs` JSONL runner share.
+    /// strategy, example, experiment and the daemon's `solve` verb share.
     ///
     /// The request's options override the scheduler's configured defaults
     /// for this run (variant always comes from the request; budget and
@@ -442,161 +431,29 @@ impl Scheduler {
         if let Some(sparse) = request.sparse {
             eff.sparse_config = sparse;
         }
-        let assignment = Assignment::from(request.assignment);
         match request.strategy {
             SolveStrategy::FirstFit => match request.backend {
-                BackendPolicy::Exact => {
-                    eff.first_fit_exact(instance, request.assignment.scheme(), assignment)
-                }
-                BackendPolicy::Auto => {
-                    eff.first_fit_auto(instance, request.assignment.scheme(), assignment)
-                }
+                BackendPolicy::Exact => eff.first_fit_exact(instance, request.assignment),
+                BackendPolicy::Auto => eff.first_fit_auto(instance, request.assignment),
             },
-            SolveStrategy::Parallel { num_threads } => eff.parallel_impl(
-                instance,
-                request.assignment.scheme(),
-                assignment,
-                num_threads,
-                request.backend,
-            ),
+            SolveStrategy::Parallel { num_threads } => {
+                eff.parallel_impl(instance, request.assignment, num_threads, request.backend)
+            }
             SolveStrategy::PowerControl => eff.power_control_impl(instance),
-            SolveStrategy::SqrtColoring => {
-                let mut rng = ChaCha8Rng::seed_from_u64(request.seed);
-                eff.sqrt_lp_impl(instance, &mut rng)
-            }
-            SolveStrategy::SqrtDecomposition => {
-                let mut rng = ChaCha8Rng::seed_from_u64(request.seed);
-                eff.sqrt_decomposition_impl(instance, &mut rng)
-            }
+            SolveStrategy::SqrtColoring => eff.sqrt_lp_impl(instance, request.seed),
+            SolveStrategy::SqrtDecomposition => eff.sqrt_decomposition_impl(instance, request.seed),
         }
-    }
-
-    /// Schedules with greedy first-fit under a fixed power scheme.
-    ///
-    /// With ambient noise a request can be infeasible even in a slot of its
-    /// own (`signal / noise < β`); first-fit still gives such a request its
-    /// own color — the best any schedule can do — and the result is returned
-    /// rather than rejected.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::first_fit(..).with_backend(BackendPolicy::Exact)"
-    )]
-    pub fn schedule_with_assignment<M: MetricSpace, P: PowerScheme>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-    ) -> ScheduleResult {
-        let assignment = Assignment::from_scheme_name(&scheme.name());
-        self.first_fit_exact(instance, scheme, assignment)
-            .expect("first-fit schedules every valid instance")
-    }
-
-    /// Schedules with greedy first-fit under a fixed power scheme,
-    /// auto-selecting the interference backend by memory budget: the dense
-    /// [`GainMatrix`] when it fits, the spatially-pruned
-    /// [`SparseGainMatrix`] otherwise.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::first_fit(..) (BackendPolicy::Auto is the default)"
-    )]
-    pub fn schedule_with_assignment_auto<M, P>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-    ) -> ScheduleResult
-    where
-        M: MetricSpace + PlanarMetric,
-        P: PowerScheme,
-    {
-        let assignment = Assignment::from_scheme_name(&scheme.name());
-        self.first_fit_auto(instance, scheme, assignment)
-            .expect("first-fit schedules every valid instance")
-    }
-
-    /// Parallel batch scheduling: partitions the requests by spatial grid
-    /// tile, colors the shards on `num_threads` worker threads (`0` = one
-    /// per core) and merges the shard colorings with a deterministic
-    /// conflict-repair pass.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::parallel(assignment, num_threads)"
-    )]
-    pub fn schedule_parallel<M, P>(
-        &self,
-        instance: &Instance<M>,
-        scheme: P,
-        num_threads: usize,
-    ) -> ScheduleResult
-    where
-        M: MetricSpace + PlanarMetric + Sync,
-        P: PowerScheme,
-    {
-        let assignment = Assignment::from_scheme_name(&scheme.name());
-        self.parallel_impl(
-            instance,
-            scheme,
-            assignment,
-            num_threads,
-            BackendPolicy::Auto,
-        )
-        .expect("parallel first-fit schedules every valid instance")
-    }
-
-    /// Schedules with greedy first-fit where each color class gets its own
-    /// optimised (non-oblivious) power assignment.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::power_control()"
-    )]
-    pub fn schedule_with_power_control<M: MetricSpace>(
-        &self,
-        instance: &Instance<M>,
-    ) -> ScheduleResult {
-        self.power_control_impl(instance)
-            .expect("power-controlled schedules are feasible by construction")
-    }
-
-    /// Schedules with the §5 randomized LP-rounding algorithm for the
-    /// square-root assignment (bidirectional variant only).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::sqrt_coloring(seed)"
-    )]
-    pub fn schedule_sqrt_lp<M: MetricSpace, R: Rng + ?Sized>(
-        &self,
-        instance: &Instance<M>,
-        rng: &mut R,
-    ) -> ScheduleResult {
-        self.sqrt_lp_impl(instance, rng)
-            .expect("the square-root LP coloring applies to the bidirectional variant")
-    }
-
-    /// Schedules with the Theorem 2 decomposition pipeline (tree embeddings +
-    /// star analysis) for the square-root assignment (bidirectional variant
-    /// only).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Scheduler::solve with SolveRequest::sqrt_decomposition(seed)"
-    )]
-    pub fn schedule_sqrt_decomposition<M: MetricSpace, R: Rng + ?Sized>(
-        &self,
-        instance: &Instance<M>,
-        rng: &mut R,
-    ) -> ScheduleResult {
-        self.sqrt_decomposition_impl(instance, rng)
-            .expect("the decomposition pipeline applies to the bidirectional variant")
     }
 
     /// The exact-tier first-fit path: dense matrix under the budget,
     /// uncached on-the-fly contributions above it (exact verdicts for any
     /// metric space, no planarity required).
-    fn first_fit_exact<M: MetricSpace, P: PowerScheme>(
+    fn first_fit_exact<M: MetricSpace>(
         &self,
         instance: &Instance<M>,
-        scheme: P,
-        assignment: Assignment,
+        assignment: PowerAssignment,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let evaluator = instance.evaluator(self.params, &scheme);
+        let evaluator = instance.evaluator(self.params, &assignment.scheme());
         let view = evaluator.view(self.variant);
         let ports = view.num_ports();
         let (schedule, engine) = if self.dense_fits(instance.len(), ports) {
@@ -608,7 +465,7 @@ impl Scheduler {
                 EngineStats::on_the_fly(instance.len(), ports, self.matrix_budget),
             )
         };
-        let label = SolveLabel::new(Algorithm::FirstFit, assignment);
+        let label = SolveLabel::new(Algorithm::FirstFit, assignment.into());
         self.check_first_fit(&schedule, &evaluator, &label)?;
         Ok(ScheduleResult {
             schedule,
@@ -625,17 +482,12 @@ impl Scheduler {
     /// schedule validates against the exact evaluator just like the dense
     /// one (it may spend a few more colors; `strict` in [`SparseConfig`]
     /// buys them back).
-    fn first_fit_auto<M, P>(
+    fn first_fit_auto<M: MetricSpace + PlanarMetric>(
         &self,
         instance: &Instance<M>,
-        scheme: P,
-        assignment: Assignment,
-    ) -> Result<ScheduleResult, ScheduleError>
-    where
-        M: MetricSpace + PlanarMetric,
-        P: PowerScheme,
-    {
-        let evaluator = instance.evaluator(self.params, &scheme);
+        assignment: PowerAssignment,
+    ) -> Result<ScheduleResult, ScheduleError> {
+        let evaluator = instance.evaluator(self.params, &assignment.scheme());
         let view = evaluator.view(self.variant);
         let (backend, engine) = self.select_backend(&view, instance.len(), 1, BackendPolicy::Auto);
         let schedule = match &backend {
@@ -643,7 +495,7 @@ impl Scheduler {
             SelectedBackend::Sparse(sparse) => first_fit_coloring(sparse.as_ref()),
             SelectedBackend::Fly(view) => first_fit_coloring(*view),
         };
-        let label = SolveLabel::new(Algorithm::FirstFitAuto, assignment);
+        let label = SolveLabel::new(Algorithm::FirstFitAuto, assignment.into());
         self.check_first_fit(&schedule, &evaluator, &label)?;
         Ok(ScheduleResult {
             schedule,
@@ -658,19 +510,14 @@ impl Scheduler {
     /// identical for every thread count. The backend follows the request's
     /// [`BackendPolicy`] (sparse fallback under `Auto`, uncached exact
     /// contributions under `Exact`).
-    fn parallel_impl<M, P>(
+    fn parallel_impl<M: MetricSpace + PlanarMetric + Sync>(
         &self,
         instance: &Instance<M>,
-        scheme: P,
-        assignment: Assignment,
+        assignment: PowerAssignment,
         num_threads: usize,
         policy: BackendPolicy,
-    ) -> Result<ScheduleResult, ScheduleError>
-    where
-        M: MetricSpace + PlanarMetric + Sync,
-        P: PowerScheme,
-    {
-        let evaluator = instance.evaluator(self.params, &scheme);
+    ) -> Result<ScheduleResult, ScheduleError> {
+        let evaluator = instance.evaluator(self.params, &assignment.scheme());
         let view = evaluator.view(self.variant);
         let shards = tile_shards(instance, DEFAULT_TARGET_SHARDS);
         let config = ParallelConfig {
@@ -685,7 +532,7 @@ impl Scheduler {
             }
             SelectedBackend::Fly(view) => parallel_first_fit(*view, &shards, &config),
         };
-        let label = SolveLabel::new(Algorithm::ParallelFirstFit, assignment);
+        let label = SolveLabel::new(Algorithm::ParallelFirstFit, assignment.into());
         self.check_first_fit(&schedule, &evaluator, &label)?;
         Ok(ScheduleResult {
             schedule,
@@ -721,29 +568,28 @@ impl Scheduler {
         })
     }
 
-    fn sqrt_lp_impl<M: MetricSpace, R: Rng + ?Sized>(
+    fn sqrt_lp_impl<M: MetricSpace>(
         &self,
         instance: &Instance<M>,
-        rng: &mut R,
+        seed: u64,
     ) -> Result<ScheduleResult, ScheduleError> {
         self.require_bidirectional(SolveStrategy::SqrtColoring)?;
-        let schedule = sqrt_coloring(instance, &self.params, &SqrtColoringConfig::default(), rng);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let config = SqrtColoringConfig::default();
+        let schedule = sqrt_coloring(instance, &self.params, &config, &mut rng);
         let label = SolveLabel::new(Algorithm::LpRounding, Assignment::SquareRoot);
         self.certified_sqrt_result(instance, schedule, label)
     }
 
-    fn sqrt_decomposition_impl<M: MetricSpace, R: Rng + ?Sized>(
+    fn sqrt_decomposition_impl<M: MetricSpace>(
         &self,
         instance: &Instance<M>,
-        rng: &mut R,
+        seed: u64,
     ) -> Result<ScheduleResult, ScheduleError> {
         self.require_bidirectional(SolveStrategy::SqrtDecomposition)?;
-        let schedule = sqrt_schedule_via_decomposition(
-            instance,
-            &self.params,
-            &DecompositionConfig::default(),
-            rng,
-        );
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let config = DecompositionConfig::default();
+        let schedule = sqrt_schedule_via_decomposition(instance, &self.params, &config, &mut rng);
         let label = SolveLabel::new(Algorithm::Decomposition, Assignment::SquareRoot);
         self.certified_sqrt_result(instance, schedule, label)
     }
@@ -967,9 +813,7 @@ mod tests {
 
     #[test]
     fn builder_accessors() {
-        let s = scheduler().variant(Variant::Directed);
-        assert_eq!(s.problem_variant(), Variant::Directed);
-        assert_eq!(s.params().alpha(), 3.0);
+        assert_eq!(scheduler().params().alpha(), 3.0);
     }
 
     #[test]
@@ -1112,17 +956,6 @@ mod tests {
                 }
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bidirectional variant")]
-    #[allow(deprecated)]
-    fn deprecated_lp_wrapper_still_panics_on_the_directed_variant() {
-        let inst = nested_chain(4, 2.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let _ = scheduler()
-            .variant(Variant::Directed)
-            .schedule_sqrt_lp(&inst, &mut rng);
     }
 
     #[test]

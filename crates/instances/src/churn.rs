@@ -10,9 +10,9 @@
 //!
 //! Determinism is load-bearing, exactly as for the scaling families: the
 //! same `(n, target_live, num_events, seed)` always produces the same
-//! universe *and* the same trace, which is what lets the `churn` bench and
-//! experiment E10 compare incremental maintenance against full reschedules
-//! on identical event sequences.
+//! universe *and* the same trace, which is what lets experiment E10
+//! compare incremental maintenance against full reschedules on identical
+//! event sequences.
 
 use crate::scale::{scaling_clustered, scaling_uniform, LARGE_SCALE_SIZES};
 use oblisched_metric::EuclideanSpace;

@@ -1,8 +1,8 @@
 //! Family-by-name instance construction: the serializable [`Family`] enum
 //! names every generator of this crate, and [`build_family`] turns a
 //! `(family, n, seed)` triple into a concrete instance — the constructor the
-//! JSONL job runner (`oblisched_bench`'s `jobs` binary) uses to express
-//! every scenario as data.
+//! `oblisched-server` daemon's `solve` and session `open` verbs use to
+//! express every scenario as data.
 //!
 //! # Example
 //!
@@ -26,13 +26,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 
-/// The instance families job files can name. Every variant is seed-pinned
+/// The instance families wire requests can name. Every variant is seed-pinned
 /// and deterministic: the same `(family, n, seed)` triple always produces
 /// the same instance (`line`, `nested` and `adversarial` are fully
 /// deterministic and ignore the seed).
 ///
 /// Serializes as its lowercase name (`"uniform"`, `"scaling"`, …) — the
-/// spelling job files and the README use — rather than the Rust variant
+/// spelling wire transcripts and the README use — rather than the Rust variant
 /// identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
@@ -322,7 +322,7 @@ mod tests {
         let err = build_family(Family::Adversarial, max + 1, 0).unwrap_err();
         assert!(matches!(err, FamilyError::UnsupportedSize { .. }));
         assert!(err.to_string().contains("at most"));
-        // std::error::Error is implemented, so `?` works in job-runner code.
+        // std::error::Error is implemented, so `?` works in caller code.
         let _: &dyn std::error::Error = &err;
         // The nested chain's doubly-exponential coordinates are capped the
         // same way: a typed error, never the generator's assert.

@@ -12,7 +12,7 @@
 //!   `10·√n`, so the expected number of links per unit area (and with it the
 //!   per-color packing behaviour) is independent of `n`;
 //! * **seed-pinned determinism** — the same `(n, seed)` always produces the
-//!   same instance, which is what lets the scaling bench assert that the
+//!   same instance, which is what lets experiment E9 assert that the
 //!   incremental and the naive first-fit produce *identical* colorings.
 
 use crate::line::evenly_spaced_line;

@@ -2,7 +2,7 @@
 //! TCP, one request object per line, one response object per line.
 //!
 //! Every request line is an object with exactly one top-level key naming the
-//! operation — the tagged-enum framing job files already use:
+//! operation — serde's externally tagged enum framing:
 //!
 //! ```text
 //! {"ping":{}}
@@ -41,8 +41,8 @@ use oblisched_sinr::{SinrParams, Variant};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A batch solve over the wire: the same shape as the jobs runner's
-/// `JobSpec` — a family triple plus the [`SolveRequest`] to run on it.
+/// A batch solve over the wire: a family triple plus the [`SolveRequest`]
+/// to run on it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolveJob {
     /// The generator family of the instance.
@@ -530,8 +530,7 @@ pub enum WireResponse {
 pub struct Empty {}
 
 // Wrapper structs giving every wire line its single-key framing through the
-// ordinary derive path (the same trick the jobs runner uses for its
-// top-level `session` key).
+// ordinary derive path.
 #[derive(Serialize, Deserialize)]
 struct SolveLine {
     solve: SolveJob,
@@ -841,7 +840,7 @@ mod tests {
 
     #[test]
     fn requests_round_trip_through_the_wire() {
-        let requests = [
+        let mut requests = vec![
             WireRequest::Ping,
             WireRequest::Shutdown,
             WireRequest::Solve(SolveJob {
@@ -870,6 +869,24 @@ mod tests {
             })),
             WireRequest::Session(SessionVerb::Close(NameRef { name: "s1".into() })),
         ];
+        // Batch solves over every family, with and without model parameters.
+        for family in Family::all() {
+            for (request, params) in [
+                (SolveRequest::sqrt_coloring(3), None),
+                (
+                    SolveRequest::parallel(PowerAssignment::Linear, 2),
+                    Some(SinrParams::with_noise(2.5, 1.5, 0.1).unwrap()),
+                ),
+            ] {
+                requests.push(WireRequest::Solve(SolveJob {
+                    family,
+                    n: 33,
+                    seed: 9,
+                    request,
+                    params,
+                }));
+            }
+        }
         for request in requests {
             let line = render_request(&request);
             assert_eq!(parse_request(&line).unwrap(), request, "{line}");
@@ -919,9 +936,37 @@ mod tests {
             dense_bytes: 25_600,
             budget: 64 << 20,
         };
+        let solved = SolveOutcome {
+            family: Family::Scaling,
+            n: 40,
+            seed: 42,
+            algorithm: Algorithm::FirstFit,
+            assignment: Assignment::Exponent { tau: 0.5 },
+            variant: Variant::Bidirectional,
+            colors: 17,
+            energy: 123.456,
+            wall_ms: 0.0,
+            engine: stats,
+        };
         let responses = [
             WireResponse::Pong,
             WireResponse::ShuttingDown,
+            WireResponse::Solved(solved.clone()),
+            WireResponse::Solved(SolveOutcome {
+                n: 100,
+                algorithm: Algorithm::ParallelFirstFit,
+                assignment: Assignment::SquareRoot,
+                wall_ms: 12.5,
+                engine: EngineStats {
+                    backend: oblisched::scheduler::EngineBackend::Sparse,
+                    n: 100,
+                    ports: 1,
+                    bytes: 4096,
+                    dense_bytes: 160_000,
+                    budget: 1 << 16,
+                },
+                ..solved
+            }),
             WireResponse::Opened(OpenedInfo {
                 name: "s1".into(),
                 recovered: false,

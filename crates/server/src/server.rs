@@ -29,6 +29,7 @@ use crate::protocol::{
 use crate::session::SessionRegistry;
 use oblisched::scheduler::Scheduler;
 use oblisched_instances::{build_family, FamilyInstance};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -65,7 +66,9 @@ pub struct Server {
     registry: SessionRegistry,
     clock: Option<ClockMs>,
     shutdown: AtomicBool,
-    connections: Mutex<Vec<TcpStream>>,
+    /// A clone of every open connection, keyed by accept order, so shutdown
+    /// can half-close them; each worker removes its own entry on exit.
+    connections: Mutex<BTreeMap<u64, TcpStream>>,
 }
 
 impl Server {
@@ -85,7 +88,7 @@ impl Server {
             registry,
             clock: config.clock,
             shutdown: AtomicBool::new(false),
-            connections: Mutex::new(Vec::new()),
+            connections: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -116,7 +119,7 @@ impl Server {
     /// Accept-loop I/O failures (per-connection errors are contained).
     pub fn run(&self) -> std::io::Result<()> {
         std::thread::scope(|scope| -> std::io::Result<()> {
-            for incoming in self.listener.incoming() {
+            for (id, incoming) in (0u64..).zip(self.listener.incoming()) {
                 if self.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
@@ -130,9 +133,12 @@ impl Server {
                     }
                 };
                 if let Ok(tracked) = stream.try_clone() {
-                    lock(&self.connections).push(tracked);
+                    lock(&self.connections).insert(id, tracked);
                 }
-                scope.spawn(move || self.serve_connection(stream));
+                scope.spawn(move || {
+                    self.serve_connection(stream);
+                    lock(&self.connections).remove(&id);
+                });
             }
             Ok(())
         })?;
@@ -150,7 +156,7 @@ impl Server {
         // Self-connect to unblock the accept loop (std has no non-blocking
         // cancel path for a blocking accept).
         let _ = TcpStream::connect(self.local_addr);
-        for stream in lock(&self.connections).drain(..) {
+        for stream in lock(&self.connections).values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
     }
@@ -313,6 +319,32 @@ mod tests {
             other => panic!("expected error, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(server.registry().data_dir());
+    }
+
+    #[test]
+    fn finished_connections_leave_the_tracking_list() {
+        let server = test_server("fds");
+        let addr = server.local_addr().to_string();
+        let tracked = std::thread::scope(|scope| {
+            let daemon = scope.spawn(|| server.run());
+            for i in 0..64 {
+                assert!(crate::load::ping(&addr), "ping connection {i} unanswered");
+            }
+            // Workers notice the close asynchronously: wait up to 10 s for
+            // every entry to go (each one is an open file descriptor).
+            for _ in 0..1000 {
+                if lock(&server.connections).is_empty() {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            let tracked = lock(&server.connections).len();
+            crate::send_shutdown(&addr).expect("shutdown");
+            daemon.join().expect("server thread").expect("server run");
+            tracked
+        });
+        let _ = std::fs::remove_dir_all(server.registry().data_dir());
+        assert_eq!(tracked, 0, "closed connections still tracked");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! coloring is bit-for-bit the pre-crash state and naive-certified.
 
 use oblisched::solve::PowerAssignment;
-use oblisched_instances::{churn_trace_for, ChurnEvent, Family};
+use oblisched_instances::{churn_trace_for, ChurnEvent, ChurnTrace, Family};
 use oblisched_server::load::Client;
 use oblisched_server::protocol::{
     IdRef, ItemRef, NameRef, OpenSpec, SessionVerb, StatsSpec, WireErrorKind, WireRequest,
@@ -86,6 +86,81 @@ fn open_spec(name: &str, seed: u64) -> OpenSpec {
     }
 }
 
+/// One session of the crash test and the seed-pinned churn trace it
+/// replays: `num_events` events around `target_live` live requests, with
+/// the daemon killed after `crash_after` of them.
+struct CrashSession {
+    spec: OpenSpec,
+    target_live: usize,
+    num_events: usize,
+    crash_after: usize,
+}
+
+impl CrashSession {
+    fn trace(&self) -> ChurnTrace {
+        let (n, seed) = (self.spec.n, self.spec.seed);
+        churn_trace_for(n, self.target_live, self.num_events, seed)
+    }
+
+    fn open(&self) -> WireRequest {
+        WireRequest::Session(SessionVerb::Open(self.spec.clone()))
+    }
+}
+
+/// Three scaling sessions that never checkpoint after their initial
+/// snapshot, then one per other cadence: scaling/sqrt every 8 events,
+/// clustered/uniform/directed after every event, and line/linear every 64
+/// events, killed one event before its trace ends with no checkpoint since
+/// creation.
+fn crash_sessions() -> Vec<CrashSession> {
+    let mut sessions: Vec<CrashSession> = (0..3)
+        .map(|i| CrashSession {
+            spec: open_spec(&format!("crash-{i}"), 7 + i),
+            target_live: 40,
+            num_events: 120,
+            crash_after: 70,
+        })
+        .collect();
+    sessions.extend([
+        CrashSession {
+            spec: OpenSpec {
+                n: 30,
+                checkpoint_every: Some(8),
+                ..open_spec("crash-scaling-sqrt", 42)
+            },
+            target_live: 18,
+            num_events: 80,
+            crash_after: 41,
+        },
+        CrashSession {
+            spec: OpenSpec {
+                family: Family::Clustered,
+                n: 24,
+                assignment: PowerAssignment::Uniform,
+                variant: Variant::Directed,
+                checkpoint_every: Some(1),
+                ..open_spec("crash-clustered-uniform", 7)
+            },
+            target_live: 14,
+            num_events: 60,
+            crash_after: 30,
+        },
+        CrashSession {
+            spec: OpenSpec {
+                family: Family::Line,
+                n: 20,
+                assignment: PowerAssignment::Linear,
+                checkpoint_every: Some(64),
+                ..open_spec("crash-line-linear", 3)
+            },
+            target_live: 12,
+            num_events: 50,
+            crash_after: 49,
+        },
+    ]);
+    sessions
+}
+
 /// Applies `events[..upto]` to the named session, maintaining the
 /// item → live-id map across the calls.
 fn churn(client: &mut Client, name: &str, events: &[ChurnEvent], ids: &mut BTreeMap<usize, u64>) {
@@ -132,11 +207,7 @@ fn stats(client: &mut Client, name: &str, validate: bool) -> (String, usize, boo
 #[test]
 fn killed_daemon_recovers_every_session_bit_for_bit() {
     let dir = temp_dir("recovery");
-    let sessions: Vec<(String, u64)> = (0..3)
-        .map(|i| (format!("crash-{i}"), 7 + i as u64))
-        .collect();
-    const CRASH_AFTER: usize = 70;
-    const NUM_EVENTS: usize = 120;
+    let sessions = crash_sessions();
 
     // Phase 1: fresh daemon, open the sessions, churn each one to the
     // crash point, record its exact state fingerprint. No close, no
@@ -146,17 +217,22 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
     let mut live_ids: BTreeMap<String, BTreeMap<usize, u64>> = BTreeMap::new();
     {
         let mut client = Client::connect(&daemon.addr).expect("connect");
-        for (name, seed) in &sessions {
-            let open = WireRequest::Session(SessionVerb::Open(open_spec(name, *seed)));
-            match client.request(&open).expect("open") {
+        for session in &sessions {
+            let name = &session.spec.name;
+            match client.request(&session.open()).expect("open") {
                 WireResponse::Opened(info) => assert!(!info.recovered, "fresh session"),
                 other => panic!("open answered {other:?}"),
             }
-            let trace = churn_trace_for(120, 40, NUM_EVENTS, *seed);
+            let trace = session.trace();
             let mut ids = BTreeMap::new();
-            churn(&mut client, name, &trace.events[..CRASH_AFTER], &mut ids);
+            churn(
+                &mut client,
+                name,
+                &trace.events[..session.crash_after],
+                &mut ids,
+            );
             let (fingerprint, live, _) = stats(&mut client, name, false);
-            assert!(live > 0, "the crash point leaves live requests");
+            assert!(live > 0, "{name}: the crash point leaves live requests");
             pre_crash.insert(name.clone(), (fingerprint, live));
             live_ids.insert(name.clone(), ids);
         }
@@ -168,9 +244,9 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
     // pre-crash state and must certify against the naive evaluator.
     let daemon = Daemon::start(&dir);
     let mut client = Client::connect(&daemon.addr).expect("reconnect");
-    for (name, seed) in &sessions {
-        let open = WireRequest::Session(SessionVerb::Open(open_spec(name, *seed)));
-        match client.request(&open).expect("re-open") {
+    for session in &sessions {
+        let name = &session.spec.name;
+        match client.request(&session.open()).expect("re-open") {
             WireResponse::Opened(info) => {
                 assert!(info.recovered, "{name} must attach to recovered state");
             }
@@ -188,10 +264,16 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
 
     // The recovered sessions keep working: finish each trace and certify
     // the final state too.
-    for (name, seed) in &sessions {
-        let trace = churn_trace_for(120, 40, NUM_EVENTS, *seed);
+    for session in &sessions {
+        let name = &session.spec.name;
+        let trace = session.trace();
         let mut ids = live_ids.remove(name).expect("pre-crash id map");
-        churn(&mut client, name, &trace.events[CRASH_AFTER..], &mut ids);
+        churn(
+            &mut client,
+            name,
+            &trace.events[session.crash_after..],
+            &mut ids,
+        );
         let (_, live, validated) = stats(&mut client, name, true);
         assert_eq!(live, ids.len(), "{name}: live set tracks the id map");
         assert!(validated);
@@ -199,7 +281,7 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
 
     // Satellite check: an open with a different DynamicConfig against the
     // recovered session is a *typed* config_mismatch carrying both configs.
-    let mut wrong = open_spec(&sessions[0].0, sessions[0].1);
+    let mut wrong = sessions[0].spec.clone();
     wrong.config = Some(oblisched::dynamic::DynamicConfig {
         recolor_budget: 1,
         ..oblisched::dynamic::DynamicConfig::default()
@@ -219,7 +301,7 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
 
     // Graceful shutdown still exits cleanly after all of that.
     let close = WireRequest::Session(SessionVerb::Close(NameRef {
-        name: sessions[0].0.clone(),
+        name: sessions[0].spec.name.clone(),
     }));
     client.request(&close).expect("close");
     send_shutdown(&daemon.addr).expect("shutdown");

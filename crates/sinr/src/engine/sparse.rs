@@ -149,7 +149,7 @@ impl FastLoss {
 
 /// Construction knobs of the [`SparseGainMatrix`].
 ///
-/// Serializable so job files (`SolveRequest` in `oblisched`) can pin a
+/// Serializable so requests (`SolveRequest` in `oblisched`) can pin a
 /// sparse profile as data.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SparseConfig {

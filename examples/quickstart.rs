@@ -59,10 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Requests serialize — the same runs, as a JSONL-ready value. The
-    // `jobs` binary in `oblisched_bench` consumes whole files of these.
+    // Requests serialize — the same runs, as wire-ready values. The
+    // `oblisched-server` daemon's `solve` verb carries one per line.
     let as_json = serde_json::to_string(&requests[2])?;
-    println!("\nthe square-root run as a job line:\n  {as_json}");
+    println!("\nthe square-root run as a wire request:\n  {as_json}");
 
     // Show one schedule in detail.
     let result = scheduler.solve(

@@ -24,8 +24,8 @@ use std::fs;
 use std::path::PathBuf;
 
 /// (universe n, target live, events, checkpoint cadence K) per build
-/// profile. The release configuration satisfies the ≥ 500-event acceptance
-/// criterion of the crash-point suite.
+/// profile. The release configuration meets the crash-point suite's
+/// ≥ 500-event acceptance bar.
 #[cfg(debug_assertions)]
 const CRASH: (usize, usize, usize, usize) = (60, 36, 160, 8);
 #[cfg(not(debug_assertions))]
@@ -182,7 +182,7 @@ const SPARSE_CRASH: (usize, usize, usize, usize) = (120, 72, 360, 12);
 
 #[test]
 fn every_wal_truncation_recovers_the_sparse_backed_state() {
-    // The tentpole's durability criterion: the truncate-at-every-byte sweep
+    // The durability guarantee: the truncate-at-every-byte sweep
     // over a session running on the churn-capable **sparse** backend, where
     // recovery rebuilds the spatial grid from scratch and must still
     // reproduce the pre-crash coloring bit-for-bit. `refresh_interval(1)`

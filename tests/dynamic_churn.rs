@@ -20,7 +20,7 @@ const ACCEPTANCE: (usize, usize, usize) = (300, 180, 500);
 const ACCEPTANCE: (usize, usize, usize) = (1600, 1100, 2000);
 
 /// Replays `trace` through the shared event loop (the very one E10 and the
-/// `churn` bench time), validating the scheduler against the naive evaluator
+/// perf suite time), validating the scheduler against the naive evaluator
 /// after **every** event, and returns the number of performed events.
 fn replay_with_full_validation(
     instance: &Instance<EuclideanSpace<2>>,
@@ -78,7 +78,7 @@ fn dynamic_and_full_reschedule_agree_on_the_live_set() {
     let eval = instance.evaluator(params, &ObliviousPower::SquareRoot);
     let view = eval.view(Variant::Bidirectional);
     let matrix = view.cached();
-    // The shared replay loop — the same one E10 and the churn bench time.
+    // The shared replay loop — the same one E10 and the perf suite time.
     let sched = oblisched_bench::replay_incremental(&matrix, &trace);
     let mut live = sched.live_items();
     live.sort_unstable();

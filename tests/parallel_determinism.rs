@@ -16,7 +16,7 @@ fn params() -> SinrParams {
     SinrParams::new(3.0, 1.0).unwrap()
 }
 
-/// The issue's determinism criterion: 1, 2 and 8 threads yield identical
+/// Thread-count determinism: 1, 2 and 8 threads yield identical
 /// schedules — on the exact backend and on the sparse one, for uniform and
 /// clustered workloads.
 #[test]
@@ -127,8 +127,8 @@ fn facade_auto_selects_backend_by_budget_and_reports_it() {
     assert!(tight.num_colors() <= 3 * roomy.num_colors().max(1));
 }
 
-/// `schedule_parallel` through the facade: deterministic across thread
-/// counts on both sides of the budget boundary.
+/// Parallel requests through `Scheduler::solve`: deterministic across
+/// thread counts on both sides of the budget boundary.
 #[test]
 fn facade_parallel_scheduling_is_deterministic_and_validated() {
     let p = params();
