@@ -17,9 +17,11 @@ cargo test -q --workspace
 echo "==> engine property + integration + golden tests (release)"
 # The workspace test run above already includes these in debug mode; the
 # release pass exercises the same code the perf suite measures (fast-math-free
-# release codegen) on the suites that pin the engine's exact equivalence.
+# release codegen) on the suites that pin the engine's exact equivalence,
+# including the pin that both sparse tiers build the same rows.
 cargo test -q --release -p oblisched_sinr --test properties
-cargo test -q --release -p oblisched-suite --test scheduler_families --test golden_schedules
+cargo test -q --release -p oblisched-suite --test scheduler_families --test golden_schedules \
+  --test probe_equivalence
 # Golden snapshot of the sparse-dynamic E10 rows (release-only test): the
 # deterministic outcome of the 10k/50k churn replays on the churn-capable
 # sparse backend, including the n=50k under-64-MiB acceptance assert.

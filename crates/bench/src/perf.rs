@@ -273,7 +273,8 @@ fn churn_replay_case(
 /// so wire payloads stay byte-deterministic) with [`oblisched_server::run_load`]
 /// replaying seed-pinned churn traces from concurrent connections into
 /// durable sessions. The reported time is the slowest connection's
-/// wall-clock for its whole replay (socket + actor + WAL fsync included),
+/// wall-clock for its whole replay (socket + actor + WAL append included;
+/// appends are written to the OS but not fsync'd, see `DiskStore::append`),
 /// and the fingerprint is the combined per-session state fingerprint from
 /// the load report. Each repeat gets a fresh data dir: durable sessions
 /// persist, so a reused dir would recover round N-1's state into round N

@@ -169,85 +169,61 @@ pub enum SessionBackend<'v, 'e, 'a, M> {
     Fly(&'v VariantView<'e, 'a, M>),
 }
 
+impl<M: MetricSpace> SessionBackend<'_, '_, '_, M> {
+    /// The tier the facade picked: the one match on it, through which every
+    /// engine method below is forwarded.
+    fn tier(&self) -> &dyn GainBackend {
+        match self {
+            SessionBackend::Dense(m) => m,
+            SessionBackend::Sparse(s) => s.as_ref(),
+            SessionBackend::Fly(v) => *v,
+        }
+    }
+}
+
 impl<M: MetricSpace> InterferenceSystem for SessionBackend<'_, '_, '_, M> {
     fn len(&self) -> usize {
-        match self {
-            SessionBackend::Dense(m) => m.len(),
-            SessionBackend::Sparse(s) => s.len(),
-            SessionBackend::Fly(v) => v.len(),
-        }
+        self.tier().len()
     }
 
     fn sinr(&self, i: usize, others: &[usize]) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.sinr(i, others),
-            SessionBackend::Sparse(s) => s.sinr(i, others),
-            SessionBackend::Fly(v) => v.sinr(i, others),
-        }
+        self.tier().sinr(i, others)
     }
 
     fn beta(&self) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.beta(),
-            SessionBackend::Sparse(s) => s.beta(),
-            SessionBackend::Fly(v) => v.beta(),
-        }
+        self.tier().beta()
     }
 }
 
 impl<M: MetricSpace> IncrementalSystem for SessionBackend<'_, '_, '_, M> {
     fn num_ports(&self) -> usize {
-        match self {
-            SessionBackend::Dense(m) => m.num_ports(),
-            SessionBackend::Sparse(s) => s.num_ports(),
-            SessionBackend::Fly(v) => v.num_ports(),
-        }
+        self.tier().num_ports()
     }
 
     fn contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.contribution(i, port, j),
-            SessionBackend::Sparse(s) => s.contribution(i, port, j),
-            SessionBackend::Fly(v) => v.contribution(i, port, j),
-        }
+        self.tier().contribution(i, port, j)
     }
 
     fn signal(&self, i: usize) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.signal(i),
-            SessionBackend::Sparse(s) => s.signal(i),
-            SessionBackend::Fly(v) => v.signal(i),
-        }
+        self.tier().signal(i)
     }
 
     fn noise(&self) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.noise(),
-            SessionBackend::Sparse(s) => s.noise(),
-            SessionBackend::Fly(v) => v.noise(),
-        }
+        self.tier().noise()
     }
 }
 
+// Every hook is forwarded (none left at the trait default), so each tier's
+// own layout-aware fold, pads and churn hooks keep serving sessions.
 impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
     fn stored_contribution(&self, i: usize, port: usize, j: usize) -> Option<f64> {
-        match self {
-            SessionBackend::Dense(m) => m.stored_contribution(i, port, j),
-            SessionBackend::Sparse(s) => s.stored_contribution(i, port, j),
-            SessionBackend::Fly(v) => v.stored_contribution(i, port, j),
-        }
+        self.tier().stored_contribution(i, port, j)
     }
 
     fn stored_row(&self, i: usize, port: usize) -> Option<RowRef<'_>> {
-        match self {
-            SessionBackend::Dense(m) => m.stored_row(i, port),
-            SessionBackend::Sparse(s) => s.stored_row(i, port),
-            SessionBackend::Fly(v) => v.stored_row(i, port),
-        }
+        self.tier().stored_row(i, port)
     }
 
-    // Forwarded explicitly (not left at the trait default) so each tier's
-    // own layout-aware fold keeps serving sessions wrapped in the enum.
     fn fold_candidate(
         &self,
         i: usize,
@@ -257,69 +233,36 @@ impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
         acc: &mut [f64; MAX_PORTS],
         dropped: &mut [u32; MAX_PORTS],
     ) -> bool {
-        match self {
-            SessionBackend::Dense(m) => m.fold_candidate(i, ports, members, limit_hi, acc, dropped),
-            SessionBackend::Sparse(s) => {
-                s.fold_candidate(i, ports, members, limit_hi, acc, dropped)
-            }
-            SessionBackend::Fly(v) => v.fold_candidate(i, ports, members, limit_hi, acc, dropped),
-        }
+        self.tier()
+            .fold_candidate(i, ports, members, limit_hi, acc, dropped)
     }
 
     fn pruned_cap(&self, i: usize, port: usize) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.pruned_cap(i, port),
-            SessionBackend::Sparse(s) => s.pruned_cap(i, port),
-            SessionBackend::Fly(v) => v.pruned_cap(i, port),
-        }
+        self.tier().pruned_cap(i, port)
     }
 
     fn pruned_mass(&self, i: usize, port: usize) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.pruned_mass(i, port),
-            SessionBackend::Sparse(s) => s.pruned_mass(i, port),
-            SessionBackend::Fly(v) => v.pruned_mass(i, port),
-        }
+        self.tier().pruned_mass(i, port)
     }
 
     fn is_exact(&self) -> bool {
-        match self {
-            SessionBackend::Dense(m) => m.is_exact(),
-            SessionBackend::Sparse(s) => s.is_exact(),
-            SessionBackend::Fly(v) => v.is_exact(),
-        }
+        self.tier().is_exact()
     }
 
     fn strict_recheck(&self) -> bool {
-        match self {
-            SessionBackend::Dense(m) => m.strict_recheck(),
-            SessionBackend::Sparse(s) => s.strict_recheck(),
-            SessionBackend::Fly(v) => v.strict_recheck(),
-        }
+        self.tier().strict_recheck()
     }
 
     fn exact_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-        match self {
-            SessionBackend::Dense(m) => m.exact_contribution(i, port, j),
-            SessionBackend::Sparse(s) => s.exact_contribution(i, port, j),
-            SessionBackend::Fly(v) => v.exact_contribution(i, port, j),
-        }
+        self.tier().exact_contribution(i, port, j)
     }
 
     fn note_arrival(&self, item: usize) {
-        match self {
-            SessionBackend::Dense(m) => m.note_arrival(item),
-            SessionBackend::Sparse(s) => s.note_arrival(item),
-            SessionBackend::Fly(v) => v.note_arrival(item),
-        }
+        self.tier().note_arrival(item)
     }
 
     fn note_departure(&self, item: usize) {
-        match self {
-            SessionBackend::Dense(m) => m.note_departure(item),
-            SessionBackend::Sparse(s) => s.note_departure(item),
-            SessionBackend::Fly(v) => v.note_departure(item),
-        }
+        self.tier().note_departure(item)
     }
 }
 
@@ -667,7 +610,7 @@ impl Scheduler {
                         sparse_cfg.build_threads = num_threads;
                     }
                     let sparse = SparseGainMatrix::build(view, &sparse_cfg);
-                    let stats = self.sparse_stats(&sparse, ports);
+                    let stats = self.sparse_stats(&sparse, sparse.bytes(), ports);
                     (SelectedBackend::Sparse(Box::new(sparse)), stats)
                 }
                 BackendPolicy::Exact => (
@@ -724,14 +667,7 @@ impl Scheduler {
             match policy {
                 BackendPolicy::Auto => {
                     let sparse = SparseChurnMatrix::new(view, &self.sparse_config);
-                    let stats = EngineStats {
-                        backend: EngineBackend::Sparse,
-                        n,
-                        ports: sparse.ports(),
-                        bytes: sparse.bytes(),
-                        dense_bytes: GainMatrix::bytes_for(n, ports),
-                        budget: self.matrix_budget,
-                    };
+                    let stats = self.sparse_stats(&sparse, sparse.bytes(), ports);
                     (SessionBackend::Sparse(Box::new(sparse)), stats)
                 }
                 BackendPolicy::Exact => (
@@ -742,15 +678,21 @@ impl Scheduler {
         }
     }
 
-    /// `true_ports` is the variant's port count — the folded sparse backend
-    /// reports a single port, but the dense-footprint comparison must use
-    /// what the dense matrix would actually allocate.
-    fn sparse_stats(&self, sparse: &SparseGainMatrix, true_ports: usize) -> EngineStats {
+    /// The stats of either sparse tier, batch or churn, whose footprint is
+    /// `bytes`. `true_ports` is the variant's port count — the folded sparse
+    /// backend reports a single port, but the dense-footprint comparison
+    /// must use what the dense matrix would actually allocate.
+    fn sparse_stats(
+        &self,
+        sparse: &impl IncrementalSystem,
+        bytes: usize,
+        true_ports: usize,
+    ) -> EngineStats {
         EngineStats {
             backend: EngineBackend::Sparse,
             n: sparse.len(),
-            ports: sparse.ports(),
-            bytes: sparse.bytes(),
+            ports: sparse.num_ports(),
+            bytes,
             dense_bytes: GainMatrix::bytes_for(sparse.len(), true_ports),
             budget: self.matrix_budget,
         }

@@ -913,6 +913,9 @@ mod tests {
 
     #[test]
     fn malformed_lines_yield_typed_bad_request_errors() {
+        // Without the JSON parser's nesting cap, this line would overflow
+        // the stack and abort the daemon, which `catch_unwind` cannot stop.
+        let deep = "[".repeat(100_000);
         for line in [
             "{not json",
             "[1,2,3]",
@@ -920,6 +923,7 @@ mod tests {
             "{\"frobnicate\":{}}",
             "{\"session\":{\"frobnicate\":{}}}",
             "{\"session\":{\"open\":{\"name\":17}}}",
+            &deep,
         ] {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.kind, WireErrorKind::BadRequest, "{line}");

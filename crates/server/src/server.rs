@@ -3,10 +3,13 @@
 //! [`SessionRegistry`].
 //!
 //! Connection handling is defensive by construction: every request line —
-//! including malformed JSON — yields exactly one response line on the same
-//! connection (a typed [`WireError`] when anything goes wrong), and a panic
-//! while serving a request is caught and answered as an `internal` error
-//! rather than dropping the connection or the daemon.
+//! including malformed JSON and bytes that are not UTF-8 — yields exactly
+//! one response line on the same connection (a typed [`WireError`] when
+//! anything goes wrong), and a panic while serving a request is caught and
+//! answered as an `internal` error rather than dropping the connection or
+//! the daemon. Lines are read as bytes under a 1 MiB cap: an over-long line
+//! is the one request answered with an error *and* a hang-up, since the
+//! rest of it is never read.
 //!
 //! Shutdown is a wire verb, not a signal: any client may send
 //! `{"shutdown":{}}`. The daemon answers `{"shutting_down":{}}`, stops
@@ -30,12 +33,18 @@ use crate::session::SessionRegistry;
 use oblisched::scheduler::Scheduler;
 use oblisched_instances::{build_family, FamilyInstance};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+
+/// The longest request line the daemon reads, not counting its newline. A
+/// longer line is answered with a `bad_request` error and the connection is
+/// closed, so a client that never sends a newline cannot grow the daemon's
+/// memory without bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A millisecond clock the daemon binary injects for `solved.wall_ms`;
 /// `None` (the default, and the `--no-timing` convention) renders all
@@ -166,17 +175,44 @@ impl Server {
             return;
         };
         let mut writer = write_half;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+        let mut reader = BufReader::new(stream);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the cap tells an over-long line from one that
+            // fills the cap exactly.
+            let limit = (MAX_LINE_BYTES + 1) as u64;
+            match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
             }
-            let response = self.dispatch_line(&line);
+            let terminated = buf.last() == Some(&b'\n');
+            let over_cap = !terminated && buf.len() > MAX_LINE_BYTES;
+            let response = if over_cap {
+                WireResponse::Error(WireError::new(
+                    WireErrorKind::BadRequest,
+                    format!("request line longer than {MAX_LINE_BYTES} bytes"),
+                ))
+            } else {
+                let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+                match std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => self.dispatch_line(line),
+                    Err(e) => WireResponse::Error(WireError::new(
+                        WireErrorKind::BadRequest,
+                        format!("request line is not UTF-8: {e}"),
+                    )),
+                }
+            };
             let shutting_down = matches!(response, WireResponse::ShuttingDown);
             let mut rendered = render_response(&response);
             rendered.push('\n');
             if writer.write_all(rendered.as_bytes()).is_err() || writer.flush().is_err() {
+                break;
+            }
+            if over_cap {
+                // The rest of the line is never read: answer, then hang up.
+                let _ = writer.shutdown(Shutdown::Write);
                 break;
             }
             if shutting_down {
@@ -345,6 +381,69 @@ mod tests {
         });
         let _ = std::fs::remove_dir_all(server.registry().data_dir());
         assert_eq!(tracked, 0, "closed connections still tracked");
+    }
+
+    /// Serves `server` on a scoped thread while `client` talks to its
+    /// address, then shuts it down.
+    fn while_serving<T>(server: &Server, client: impl FnOnce(&str) -> T) -> T {
+        let addr = server.local_addr().to_string();
+        let out = std::thread::scope(|scope| {
+            let daemon = scope.spawn(|| server.run());
+            let out = client(&addr);
+            crate::send_shutdown(&addr).expect("shutdown");
+            daemon.join().expect("server thread").expect("server run");
+            out
+        });
+        let _ = std::fs::remove_dir_all(server.registry().data_dir());
+        out
+    }
+
+    /// Sends `bytes` on a fresh connection, half-closes it, and collects
+    /// every response line until the daemon closes its side.
+    fn exchange(addr: &str, bytes: &[u8]) -> Vec<WireResponse> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // The daemon may hang up before reading everything (over-cap lines).
+        let _ = stream.write_all(bytes);
+        let _ = stream.shutdown(Shutdown::Write);
+        let mut reader = BufReader::new(stream);
+        let mut responses = Vec::new();
+        let mut line = String::new();
+        while matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
+            responses.push(parse_response(line.trim_end()).expect("response line"));
+            line.clear();
+        }
+        responses
+    }
+
+    fn is_bad_request(response: &WireResponse) -> bool {
+        matches!(response, WireResponse::Error(e) if e.kind == WireErrorKind::BadRequest)
+    }
+
+    #[test]
+    fn non_utf8_lines_get_a_typed_error_and_keep_the_connection() {
+        let server = test_server("utf8");
+        let responses = while_serving(&server, |addr| exchange(addr, b"\xff\xfe\n{\"ping\":{}}\n"));
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        assert!(is_bad_request(&responses[0]), "{responses:?}");
+        assert_eq!(responses[1], WireResponse::Pong);
+    }
+
+    #[test]
+    fn over_cap_lines_are_refused_and_the_connection_closed() {
+        let server = test_server("cap");
+        let (over, at_cap) = while_serving(&server, |addr| {
+            let mut over = vec![b'x'; MAX_LINE_BYTES + 1];
+            over.extend_from_slice(b"\n{\"ping\":{}}\n");
+            // Negative control: a ping padded to exactly the cap is served,
+            // and the connection stays up for the next line.
+            let mut at_cap = b"{\"ping\":{}}".to_vec();
+            at_cap.resize(MAX_LINE_BYTES, b' ');
+            at_cap.extend_from_slice(b"\n{\"ping\":{}}\n");
+            (exchange(addr, &over), exchange(addr, &at_cap))
+        });
+        assert_eq!(over.len(), 1, "nothing is served after an over-cap line");
+        assert!(is_bad_request(&over[0]), "{over:?}");
+        assert_eq!(at_cap, vec![WireResponse::Pong, WireResponse::Pong]);
     }
 
     #[test]

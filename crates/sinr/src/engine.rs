@@ -22,12 +22,14 @@
 //!   contributions, computed once per (instance, power assignment, variant),
 //!   turning every contribution into an array lookup. It is itself a
 //!   self-contained [`InterferenceSystem`] + [`IncrementalSystem`].
-//! * [`sparse`] — the spatially-pruned tier:
-//!   [`SparseGainMatrix`](sparse::SparseGainMatrix) stores per row only the
-//!   contributions above a cutoff (located through a uniform spatial grid
-//!   over request positions) and tracks the total dropped mass per row, so
-//!   feasibility verdicts stay conservative at a fraction of the dense
-//!   footprint.
+//! * [`sparse`] — the spatially-pruned tiers: one pruning core stores per
+//!   row only the contributions above a cutoff (located through a uniform
+//!   spatial grid over request positions) and tracks the total dropped mass
+//!   per row, so feasibility verdicts stay conservative at a fraction of the
+//!   dense footprint. [`SparseGainMatrix`](sparse::SparseGainMatrix) keeps
+//!   every row in CSR arrays for batch solves;
+//!   [`SparseChurnMatrix`](sparse::SparseChurnMatrix) keeps lazily built,
+//!   patchable rows for dynamic sessions.
 //!
 //! # Exact-equivalence guarantee
 //!
@@ -234,9 +236,10 @@ impl<'a> RowRef<'a> {
 ///   [`NodeLossEvaluator`]) represent every contribution exactly — all
 ///   methods keep their defaults and the engine behaves bit-for-bit like the
 ///   naive evaluator fold;
-/// * **pruned backends** ([`sparse::SparseGainMatrix`]) store only the
-///   contributions above a per-row cutoff and report, per row, an upper
-///   bound on what they dropped ([`pruned_cap`](GainBackend::pruned_cap) /
+/// * **pruned backends** (the two sparse tiers,
+///   [`sparse::SparseGainMatrix`] and [`sparse::SparseChurnMatrix`]) store
+///   only the contributions above a per-row cutoff and report, per row, an
+///   upper bound on what they dropped ([`pruned_cap`](GainBackend::pruned_cap) /
 ///   [`pruned_mass`](GainBackend::pruned_mass)). The [`ColorAccumulator`]
 ///   adds that bound back into its running sums, so every feasibility
 ///   verdict is **conservative**: a set accepted through a pruned backend is
@@ -336,7 +339,8 @@ pub trait GainBackend: IncrementalSystem {
     /// `true` when borderline verdicts (rejected with the pruning bound,
     /// accepted without it) should be re-checked through
     /// [`exact_contribution`](GainBackend::exact_contribution) — the
-    /// `strict()` mode of pruned backends. Irrelevant for exact backends.
+    /// [`SparseConfig::strict`](sparse::SparseConfig::strict) mode of pruned
+    /// backends. Irrelevant for exact backends.
     fn strict_recheck(&self) -> bool {
         false
     }
@@ -985,8 +989,8 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// Settles a borderline verdict by refolding the would-be class
     /// `members ∪ {i}` through the backend's un-pruned
     /// [`exact_contribution`](GainBackend::exact_contribution) — the
-    /// `strict()` escape hatch of pruned backends. `O(members²)`
-    /// contributions.
+    /// [`SparseConfig::strict`](sparse::SparseConfig::strict) escape hatch of
+    /// pruned backends. `O(members²)` contributions.
     fn exact_recheck(&self, i: usize, threshold: f64) -> bool {
         let noise = self.system.noise();
         let feasible_for = |item: usize| -> bool {

@@ -1,33 +1,35 @@
-//! The churn-capable sparse backend: [`SparseGainMatrix`](super::SparseGainMatrix)'s
-//! pruning story under insert/remove mutations.
+//! The churn-capable sparse backend: the pruning core of
+//! [`SparseGainMatrix`](super::SparseGainMatrix) under insert/remove
+//! mutations.
 //!
-//! The batch [`SparseGainMatrix`](super::SparseGainMatrix) is built once:
-//! its grid aggregates, CSR rows and dropped-mass pads all describe the full
-//! universe and never change. A dynamic session needs the opposite shape —
-//! at any moment only the *live* subset interferes, rows must follow
-//! arrivals and departures, and the conservativeness guarantee ("never
-//! accept a set the naive evaluator rejects") must hold at **every**
-//! intermediate state, not just after a batch build. [`SparseChurnMatrix`]
-//! provides that:
+//! The batch [`SparseGainMatrix`](super::SparseGainMatrix) builds every row
+//! once, against grid aggregates that describe the full universe. A dynamic
+//! session needs the opposite shape — at any moment only the *live* subset
+//! interferes, rows must follow arrivals and departures, and the
+//! conservativeness guarantee ("never accept a set the naive evaluator
+//! rejects") must hold at **every** intermediate state, not just after a
+//! batch build. [`SparseChurnMatrix`] provides that with the same core —
+//! one geometry, one grid, one row builder, one pad type — and its own row
+//! store:
 //!
 //! * the **spatial grid** (tile membership, positions, powers) is built once
-//!   over the whole universe, but every tile and supertile carries *live*
-//!   aggregates — power sum, power max and the bounding box of the live
-//!   entries — that are updated incrementally on each arrival/departure by
-//!   recomputing exactly the touched tiles (a pure function of the live set,
-//!   so no drift can accumulate in the aggregates themselves);
+//!   over the whole universe, and the tile and supertile aggregates the
+//!   builder prunes against cover the *live* entries only; each arrival or
+//!   departure recomputes exactly the touched tiles (a pure function of the
+//!   live set, so no drift can accumulate in the aggregates themselves);
 //! * rows are **lazily materialised**: only requests that a scheduler
-//!   actually probes get a CSR row, built by the same supertile→tile→entry
-//!   traversal as the batch builder but pruned against the live aggregates;
-//!   a departing request's row is dropped whole, so only live requests ever
-//!   hold rows;
+//!   actually probes get a row, built by the shared builder against the
+//!   live aggregates — with every request live, that is bit for bit the
+//!   batch tier's row; a departing request's row is dropped whole, so only
+//!   live requests ever hold rows;
 //! * materialised rows are **patched** on churn: an arrival inserts a stored
 //!   entry (when its inflated contribution reaches the row's cutoff) or adds
 //!   to the row's dropped-mass pad; a departure removes the stored entry or
 //!   subtracts from the pad with the *deflated* bound described below;
 //! * a **staleness guard** counts the patches applied to each row and
 //!   triggers a localized rebuild (one row, against the current live
-//!   aggregates) after [`refresh_interval`](SparseChurnMatrix::refresh_interval)
+//!   aggregates) after
+//!   [`with_refresh_interval`](SparseChurnMatrix::with_refresh_interval)
 //!   mutations, bounding how far a patched pad can drift from the freshly
 //!   built one.
 //!
@@ -69,50 +71,52 @@
 
 use std::cell::RefCell;
 
-use super::{distance_sq, BBox, FastLoss, GridEntry, SparseConfig, SpatialGrid, SAFETY, SUPER};
-use crate::engine::{item_id, item_index, GainBackend, IncrementalSystem, SparseEntry, MAX_PORTS};
-use crate::feasibility::{InterferenceSystem, Variant, VariantView};
-use crate::params::SinrParams;
+use super::prune::{Aggregates, BuiltRow, Pads, Scratch, SparseCore};
+use super::SparseConfig;
+use crate::engine::{item_id, item_index, GainBackend, IncrementalSystem, MAX_PORTS};
+use crate::feasibility::{InterferenceSystem, VariantView};
 use oblisched_metric::{MetricSpace, PlanarMetric};
 
 /// Default number of patches a materialised row tolerates before the
 /// staleness guard rebuilds it against the current live aggregates.
 pub const DEFAULT_REFRESH_INTERVAL: usize = 64;
 
-/// Sentinel for "this item has no second grid tile" (directed variant).
-const NO_TILE: usize = usize::MAX;
-
-/// The live aggregates of the static grid: which items are live, and the
-/// per-tile / per-supertile power sums, maxima and bounding boxes of the
-/// live entries only. Every field is recomputed exactly for the touched
-/// tiles on each mutation, so the whole struct is a pure function of the
-/// live set.
+/// Which items are live, and the grid aggregates of exactly those items.
 #[derive(Debug, Clone)]
 struct LiveState {
     live: Vec<bool>,
-    live_count: usize,
-    tile_bbox: Vec<BBox>,
-    tile_power_sum: Vec<f64>,
-    tile_power_max: Vec<f64>,
-    super_bbox: Vec<BBox>,
-    super_power_sum: Vec<f64>,
-    super_power_max: Vec<f64>,
+    agg: Aggregates,
 }
 
 /// One lazily-materialised row: the stored entries of every port (live
 /// interferers at or above the row's cutoff, sorted by index, in
 /// structure-of-arrays form — parallel column/value vectors per port), the
-/// dropped-mass pad, and the staleness-guard patch counter.
+/// dropped-mass pads, and the staleness-guard patch counter.
 #[derive(Debug, Clone)]
 struct ChurnRow {
     cols: [Vec<u32>; MAX_PORTS],
     vals: [Vec<f64>; MAX_PORTS],
-    mass: [f64; MAX_PORTS],
-    cap: [f64; MAX_PORTS],
+    pads: Pads,
     mutations: usize,
 }
 
 impl ChurnRow {
+    /// Splits a freshly built row into the parallel column/value vectors.
+    fn from_built(row: BuiltRow) -> Self {
+        Self {
+            cols: row
+                .entries
+                .each_ref()
+                .map(|e| e.iter().map(|e| e.j).collect()),
+            vals: row
+                .entries
+                .each_ref()
+                .map(|e| e.iter().map(|e| e.v).collect()),
+            pads: row.pads,
+            mutations: 0,
+        }
+    }
+
     /// The stored value of interferer `j` at `port`, or `None` when the live
     /// pair is pruned (binary search over the sorted columns).
     #[inline]
@@ -147,30 +151,6 @@ impl ChurnRow {
             Err(_) => false,
         }
     }
-    /// The sanctioned pad addition: folds one already SAFETY-inflated
-    /// pruned contribution into the port's dropped-mass pad and cap. Every
-    /// pad write must route through here, [`pad_shed`](ChurnRow::pad_shed)
-    /// or an in-statement `SAFETY` bound (`oblint`'s
-    /// missing-safety-inflation rule).
-    #[inline]
-    fn pad_absorb(&mut self, port: usize, inflated: f64) {
-        // oblint::allow(missing-safety-inflation): `inflated` is SAFETY-inflated by every caller — this helper IS the sanctioned pad entry point.
-        self.mass[port] += inflated;
-        // oblint::allow(missing-safety-inflation): same contract as the mass update above.
-        self.cap[port] = self.cap[port].max(inflated);
-    }
-
-    /// The sanctioned pad subtraction — the corrected departure bound of the
-    /// [module docs](self): subtract the *deflated* contribution (never more
-    /// than the true value, so every surviving term keeps its safety
-    /// margin), clamp at zero, and re-inflate the remainder to cover the
-    /// subtraction's own rounding. Returns the new pad so callers can poison
-    /// the row when the arithmetic degenerates to a non-finite value.
-    #[inline]
-    fn pad_shed(&mut self, port: usize, inflated: f64) -> f64 {
-        self.mass[port] = (self.mass[port] - inflated / (SAFETY * SAFETY)).max(0.0) * SAFETY;
-        self.mass[port]
-    }
 }
 
 /// The materialised rows plus the list of items currently holding one (so
@@ -179,14 +159,6 @@ impl ChurnRow {
 struct RowStore {
     rows: Vec<Option<ChurnRow>>,
     materialized: Vec<u32>,
-}
-
-/// Epoch-stamped scratch for deduplicating the two grid endpoints of a
-/// request during a row build (mirrors the batch builder's `seen` array).
-#[derive(Debug, Clone)]
-struct Scratch {
-    seen: Vec<u32>,
-    epoch: u32,
 }
 
 /// A churn-capable spatially-pruned [`GainBackend`]: the sparse tier for
@@ -207,28 +179,8 @@ struct Scratch {
 /// conservativeness story.
 #[derive(Debug)]
 pub struct SparseChurnMatrix {
-    n: usize,
-    ports: usize,
-    variant: Variant,
-    folded: bool,
-    params: SinrParams,
-    fast: FastLoss,
-    beta: f64,
-    strict: bool,
+    core: SparseCore,
     refresh_interval: usize,
-    signals: Vec<f64>,
-    powers: Vec<f64>,
-    senders: Vec<[f64; 2]>,
-    receivers: Vec<[f64; 2]>,
-    /// Per-item row cutoff `cutoff_fraction · signal / β` (a stored entry is
-    /// exactly an inflated contribution at or above it).
-    cutoffs: Vec<f64>,
-    /// The static universe grid: tile membership never changes, only the
-    /// live aggregates in [`LiveState`] do.
-    grid: SpatialGrid,
-    /// The (one or two) grid tiles holding each item's interfering
-    /// endpoints, for exact localized aggregate refreshes.
-    item_tiles: Vec<[usize; 2]>,
     state: RefCell<LiveState>,
     store: RefCell<RowStore>,
     scratch: RefCell<Scratch>,
@@ -248,100 +200,20 @@ impl SparseChurnMatrix {
         view: &VariantView<'_, '_, M>,
         config: &SparseConfig,
     ) -> Self {
-        config.validate();
-        let eval = view.evaluator();
-        let instance = eval.instance();
-        let metric = instance.metric();
-        let n = instance.len();
-        let variant = view.variant();
-        let folded = config.fold_ports && variant == Variant::Bidirectional;
-        let ports = match variant {
-            Variant::Directed => 1,
-            Variant::Bidirectional if folded => 1,
-            Variant::Bidirectional => 2,
-        };
-        let params = eval.params();
-        let beta = params.beta();
-        let signals: Vec<f64> = (0..n).map(|i| eval.signal(i)).collect();
-        let powers: Vec<f64> = eval.powers().to_vec();
-        let senders: Vec<[f64; 2]> = (0..n)
-            .map(|i| metric.position(instance.request(i).sender))
-            .collect();
-        let receivers: Vec<[f64; 2]> = (0..n)
-            .map(|i| metric.position(instance.request(i).receiver))
-            .collect();
-        let cutoffs: Vec<f64> = (0..n)
-            .map(|i| config.cutoff_fraction * signals[i] / beta)
-            .collect();
-
-        // Same interfering-endpoint convention as the batch builder: senders
-        // always, receivers too in the bidirectional variant.
-        let mut grid_points: Vec<GridEntry> = Vec::with_capacity(n * ports.max(1));
-        for i in 0..n {
-            grid_points.push(GridEntry {
-                pos: senders[i],
-                item: item_id(i),
-                power: powers[i],
-            });
-            if variant == Variant::Bidirectional {
-                grid_points.push(GridEntry {
-                    pos: receivers[i],
-                    item: item_id(i),
-                    power: powers[i],
-                });
-            }
-        }
-        let grid = SpatialGrid::build(&grid_points, config.tile_occupancy);
-
-        let mut item_tiles = vec![[NO_TILE; 2]; n];
-        for t in 0..grid.offsets.len() - 1 {
-            for e in &grid.entries[grid.offsets[t]..grid.offsets[t + 1]] {
-                let slots = &mut item_tiles[item_index(e.item)];
-                if slots[0] == NO_TILE {
-                    slots[0] = t;
-                } else {
-                    slots[1] = t;
-                }
-            }
-        }
-
-        let num_tiles = grid.tile_power_sum.len();
-        let num_super = grid.super_power_sum.len();
+        let core = SparseCore::new(view, config);
+        let n = core.n;
         Self {
-            n,
-            ports,
-            variant,
-            folded,
-            params,
-            fast: FastLoss::for_alpha(params.alpha()),
-            beta,
-            strict: config.strict,
-            refresh_interval: DEFAULT_REFRESH_INTERVAL,
-            signals,
-            powers,
-            senders,
-            receivers,
-            cutoffs,
-            grid,
-            item_tiles,
             state: RefCell::new(LiveState {
                 live: vec![false; n],
-                live_count: 0,
-                tile_bbox: vec![BBox::EMPTY; num_tiles],
-                tile_power_sum: vec![0.0; num_tiles],
-                tile_power_max: vec![0.0; num_tiles],
-                super_bbox: vec![BBox::EMPTY; num_super],
-                super_power_sum: vec![0.0; num_super],
-                super_power_max: vec![0.0; num_super],
+                agg: Aggregates::new(&core, |_| false),
             }),
             store: RefCell::new(RowStore {
                 rows: (0..n).map(|_| None).collect(),
                 materialized: Vec::new(),
             }),
-            scratch: RefCell::new(Scratch {
-                seen: vec![0; n],
-                epoch: 0,
-            }),
+            scratch: RefCell::new(Scratch::new(n)),
+            refresh_interval: DEFAULT_REFRESH_INTERVAL,
+            core,
         }
     }
 
@@ -361,43 +233,9 @@ impl SparseChurnMatrix {
         self
     }
 
-    /// The staleness-guard interval (see
-    /// [`with_refresh_interval`](SparseChurnMatrix::with_refresh_interval)).
-    pub fn refresh_interval(&self) -> usize {
-        self.refresh_interval
-    }
-
-    /// Returns a copy-by-move with [`strict`](SparseConfig::strict)
-    /// borderline re-checking switched on or off.
-    #[must_use]
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Whether borderline verdicts are re-checked exactly.
-    pub fn is_strict(&self) -> bool {
-        self.strict
-    }
-
     /// Number of ports per item (`1` when folded or directed).
     pub fn ports(&self) -> usize {
-        self.ports
-    }
-
-    /// The problem variant the backend was built for.
-    pub fn variant(&self) -> Variant {
-        self.variant
-    }
-
-    /// Number of currently live requests.
-    pub fn live_count(&self) -> usize {
-        self.state.borrow().live_count
-    }
-
-    /// Whether `item` is currently live.
-    pub fn is_live(&self, item: usize) -> bool {
-        self.state.borrow().live[item]
+        self.core.ports
     }
 
     /// Number of live requests currently holding a materialised CSR row.
@@ -413,24 +251,13 @@ impl SparseChurnMatrix {
             .rows
             .iter()
             .flatten()
-            .map(|row| row.cols[..self.ports].iter().map(Vec::len).sum::<usize>())
+            .map(|row| row.cols.iter().map(Vec::len).sum::<usize>())
             .sum()
     }
 
-    /// Approximate heap footprint in bytes: the static per-item geometry,
-    /// the grid with both aggregate levels, and every materialised row.
+    /// Approximate heap footprint in bytes: the per-item geometry, the grid,
+    /// the live aggregates, and every materialised row.
     pub fn bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
-        let fixed = (self.signals.len() + self.powers.len() + self.cutoffs.len()) * f
-            + (self.senders.len() + self.receivers.len()) * std::mem::size_of::<[f64; 2]>()
-            + self.item_tiles.len() * std::mem::size_of::<[usize; 2]>()
-            + self.grid.entries.len() * std::mem::size_of::<GridEntry>()
-            + self.grid.offsets.len() * std::mem::size_of::<usize>()
-            + self.n * (std::mem::size_of::<bool>() + std::mem::size_of::<u32>());
-        let tiles = self.grid.tile_power_sum.len();
-        let supers = self.grid.super_power_sum.len();
-        // Static and live aggregates: bbox + sum + max per tile/supertile.
-        let aggregates = 2 * (tiles + supers) * (std::mem::size_of::<BBox>() + 2 * f);
         let store = self.store.borrow();
         let rows = store.rows.len() * std::mem::size_of::<Option<ChurnRow>>()
             + store
@@ -449,199 +276,21 @@ impl SparseChurnMatrix {
                             .sum::<usize>()
                 })
                 .sum::<usize>();
-        fixed + aggregates + rows
+        let state = self.state.borrow();
+        self.core.bytes()
+            + state.live.len() * std::mem::size_of::<bool>()
+            + state.agg.bytes()
+            + self.scratch.borrow().bytes()
+            + rows
     }
 
-    /// Recomputes, exactly, the live aggregates of every tile holding one of
-    /// `item`'s interfering endpoints, then the supertiles above them. The
-    /// recompute iterates the tile's static entries in storage order and
-    /// filters by liveness, so the result depends only on the live set.
-    fn refresh_tiles(&self, st: &mut LiveState, item: usize) {
-        let tiles = self.item_tiles[item];
-        for (k, &t) in tiles.iter().enumerate() {
-            if t == NO_TILE || tiles[..k].contains(&t) {
-                continue;
-            }
-            let mut bbox = BBox::EMPTY;
-            let mut sum = 0.0f64;
-            let mut max = 0.0f64;
-            for e in &self.grid.entries[self.grid.offsets[t]..self.grid.offsets[t + 1]] {
-                if st.live[item_index(e.item)] {
-                    bbox.grow(e.pos);
-                    sum += e.power;
-                    max = max.max(e.power);
-                }
-            }
-            st.tile_bbox[t] = bbox;
-            st.tile_power_sum[t] = sum;
-            st.tile_power_max[t] = max;
-
-            let tx = t % self.grid.cols;
-            let ty = t / self.grid.cols;
-            let (sx, sy) = (tx / SUPER, ty / SUPER);
-            let s = sy * self.grid.super_cols + sx;
-            let mut sbbox = BBox::EMPTY;
-            let mut ssum = 0.0f64;
-            let mut smax = 0.0f64;
-            for ty2 in (sy * SUPER)..((sy + 1) * SUPER).min(self.grid.rows) {
-                for tx2 in (sx * SUPER)..((sx + 1) * SUPER).min(self.grid.cols) {
-                    let t2 = ty2 * self.grid.cols + tx2;
-                    if st.tile_power_sum[t2] == 0.0 {
-                        continue;
-                    }
-                    sbbox.merge(&st.tile_bbox[t2]);
-                    ssum += st.tile_power_sum[t2];
-                    smax = smax.max(st.tile_power_max[t2]);
-                }
-            }
-            st.super_bbox[s] = sbbox;
-            st.super_power_sum[s] = ssum;
-            st.super_power_max[s] = smax;
-        }
-    }
-
-    /// Mirror of the batch builder's anchors: where interference arrives at
-    /// item `i` — the receiver in the directed variant, both endpoints in
-    /// the bidirectional one.
-    fn traversal_anchors(&self, i: usize) -> ([[f64; 2]; MAX_PORTS], usize) {
-        match self.variant {
-            Variant::Directed => ([self.receivers[i], self.receivers[i]], 1),
-            Variant::Bidirectional => ([self.senders[i], self.receivers[i]], 2),
-        }
-    }
-
-    /// Mirror of the batch builder's un-pruned contribution of `j` at `port`
-    /// of `i` (Euclidean positions, loss of the closer endpoint, worse port
-    /// when folded).
-    fn raw_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-        if j == i {
-            return 0.0;
-        }
-        let d_sq = match self.variant {
-            Variant::Directed => distance_sq(self.senders[j], self.receivers[i]),
-            Variant::Bidirectional => {
-                let to = |w: [f64; 2]| {
-                    distance_sq(self.senders[j], w).min(distance_sq(self.receivers[j], w))
-                };
-                if self.folded {
-                    to(self.senders[i]).min(to(self.receivers[i]))
-                } else if port == 0 {
-                    to(self.senders[i])
-                } else {
-                    to(self.receivers[i])
-                }
-            }
-        };
-        self.fast.strength_sq(self.powers[j], d_sq)
-    }
-
-    /// Builds row `i` from scratch against the **live** aggregates: the same
-    /// supertile→tile→entry traversal as the batch builder, except that the
-    /// pruning bounds come from the live power sums/maxima/bounding boxes
-    /// and only live entries become stored entries or per-entry mass. A
-    /// pruned (super)tile bounds every live member's contribution, so no
-    /// stored-worthy live pair can hide in one — storedness stays the pure
-    /// pair predicate `SAFETY · contribution ≥ cutoff`.
-    fn build_live_row(&self, st: &LiveState, i: usize) -> ChurnRow {
+    /// Builds row `i` from scratch against the **live** aggregates.
+    fn fresh_row(&self, st: &LiveState, i: usize) -> ChurnRow {
         let mut scratch = self.scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        if scratch.epoch == u32::MAX {
-            scratch.seen.fill(0);
-            scratch.epoch = 1;
-        } else {
-            scratch.epoch += 1;
-        }
-        let epoch = scratch.epoch;
-        let seen = &mut scratch.seen;
-
-        let mut row = ChurnRow {
-            cols: [Vec::new(), Vec::new()],
-            vals: [Vec::new(), Vec::new()],
-            mass: [0.0; MAX_PORTS],
-            cap: [0.0; MAX_PORTS],
-            mutations: 0,
-        };
-        // Entries are collected interleaved so one sort keeps columns and
-        // values paired, then split into the row's parallel arrays below.
-        let mut collected: [Vec<SparseEntry>; MAX_PORTS] = [Vec::new(), Vec::new()];
-        let cutoff = self.cutoffs[i];
-        let (anchors, num_anchors) = self.traversal_anchors(i);
-        let grid = &self.grid;
-        let prune = |row: &mut ChurnRow, bbox: &BBox, power_sum: f64, power_max: f64| -> bool {
-            let mut d_sq = [0.0f64; MAX_PORTS];
-            let mut d_min = f64::INFINITY;
-            for (a, slot) in d_sq.iter_mut().enumerate().take(num_anchors) {
-                *slot = bbox.distance_sq_from(anchors[a]);
-                d_min = d_min.min(*slot);
-            }
-            if d_min <= 0.0 {
-                return false;
-            }
-            let worst = SAFETY * self.fast.strength_sq(power_max, d_min);
-            if worst >= cutoff {
-                return false;
-            }
-            for (port, &anchor_d) in d_sq.iter().enumerate().take(self.ports) {
-                let d = if self.folded { d_min } else { anchor_d };
-                row.mass[port] += SAFETY * self.fast.strength_sq(power_sum, d);
-                row.cap[port] = row.cap[port].max(SAFETY * self.fast.strength_sq(power_max, d));
-            }
-            true
-        };
-        for sy in 0..grid.super_rows {
-            for sx in 0..grid.super_cols {
-                let s = sy * grid.super_cols + sx;
-                if st.super_power_sum[s] == 0.0 {
-                    continue;
-                }
-                if prune(
-                    &mut row,
-                    &st.super_bbox[s],
-                    st.super_power_sum[s],
-                    st.super_power_max[s],
-                ) {
-                    continue;
-                }
-                for ty in (sy * SUPER)..((sy + 1) * SUPER).min(grid.rows) {
-                    for tx in (sx * SUPER)..((sx + 1) * SUPER).min(grid.cols) {
-                        let t = ty * grid.cols + tx;
-                        if st.tile_power_sum[t] == 0.0 {
-                            continue;
-                        }
-                        if prune(
-                            &mut row,
-                            &st.tile_bbox[t],
-                            st.tile_power_sum[t],
-                            st.tile_power_max[t],
-                        ) {
-                            continue;
-                        }
-                        for e in &grid.entries[grid.offsets[t]..grid.offsets[t + 1]] {
-                            let j = item_index(e.item);
-                            if j == i || !st.live[j] || seen[j] == epoch {
-                                continue;
-                            }
-                            seen[j] = epoch;
-                            for (port, entries) in collected.iter_mut().enumerate().take(self.ports)
-                            {
-                                let v = SAFETY * self.raw_contribution(i, port, j);
-                                if v >= cutoff {
-                                    entries.push(SparseEntry { j: e.item, v });
-                                } else {
-                                    row.pad_absorb(port, v);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (port, entries) in collected.iter_mut().enumerate().take(self.ports) {
-            entries.sort_unstable_by_key(|e| e.j);
-            row.cols[port] = entries.iter().map(|e| e.j).collect();
-            row.vals[port] = entries.iter().map(|e| e.v).collect();
-        }
-        row
+        let built = self
+            .core
+            .build_row(&st.agg, |j| st.live[j], i, &mut scratch);
+        ChurnRow::from_built(built)
     }
 
     /// Materialises row `i` if it does not exist yet.
@@ -660,7 +309,7 @@ impl SparseChurnMatrix {
             "sparse churn row requested for dead item {i}: queries are only \
              meaningful for live requests"
         );
-        let row = self.build_live_row(&st, i);
+        let row = self.fresh_row(&st, i);
         drop(st);
         let mut store = self.store.borrow_mut();
         if store.rows[i].is_none() {
@@ -684,69 +333,26 @@ impl SparseChurnMatrix {
         }
     }
 
-    /// The arrival patch: marks `item` live, refreshes the touched tile and
-    /// supertile aggregates, and patches every materialised row — inserting
-    /// a stored entry when the inflated contribution reaches the row's
-    /// cutoff, otherwise folding it into the dropped-mass pad. Idempotent
-    /// for an already-live item.
-    fn arrive(&self, item: usize) {
-        assert!(item < self.n, "item {item} out of range");
+    /// The arrival (`live == true`) or departure patch of `item`:
+    /// idempotent when `item` already has that liveness. Marks the item,
+    /// refreshes the touched tile and supertile aggregates, drops a
+    /// departing item's own row whole, and patches every other materialised
+    /// row. An arrival inserts a stored entry when the inflated contribution
+    /// reaches the row's cutoff and otherwise folds it into the pad; a
+    /// departure removes the stored entry or applies the corrected deflated
+    /// subtraction to the pad (see the [module docs](self)). A row whose
+    /// guard count reaches the refresh interval, or whose pad turns
+    /// non-finite, is rebuilt instead.
+    fn set_live(&self, item: usize, live: bool) {
+        assert!(item < self.core.n, "item {item} out of range");
         {
             let mut st = self.state.borrow_mut();
-            if st.live[item] {
+            if st.live[item] == live {
                 return;
             }
-            st.live[item] = true;
-            st.live_count += 1;
-            self.refresh_tiles(&mut st, item);
-        }
-        let st = self.state.borrow();
-        let mut store = self.store.borrow_mut();
-        let RowStore { rows, materialized } = &mut *store;
-        for &slot in materialized.iter() {
-            let i = item_index(slot);
-            if i == item {
-                continue;
-            }
-            let Some(row) = rows[i].as_mut() else {
-                debug_assert!(false, "materialized list tracks every row");
-                continue;
-            };
-            row.mutations += 1;
-            if row.mutations >= self.refresh_interval {
-                *row = self.build_live_row(&st, i);
-                continue;
-            }
-            for port in 0..self.ports {
-                let v = SAFETY * self.raw_contribution(i, port, item);
-                if v >= self.cutoffs[i] {
-                    debug_assert!(
-                        row.get(port, item_id(item)).is_none(),
-                        "arriving item {item} was already stored"
-                    );
-                    row.insert_sorted(port, item_id(item), v);
-                } else {
-                    row.pad_absorb(port, v);
-                }
-            }
-        }
-    }
-
-    /// The departure patch: marks `item` dead, refreshes the touched
-    /// aggregates, drops `item`'s own row whole, and patches every surviving
-    /// materialised row — removing the stored entry, or applying the
-    /// corrected deflated subtraction to the dropped-mass pad (see the
-    /// [module docs](self)). Idempotent for an already-dead item.
-    fn depart(&self, item: usize) {
-        assert!(item < self.n, "item {item} out of range");
-        {
-            let mut st = self.state.borrow_mut();
-            if !st.live[item] {
-                return;
-            }
-            st.live[item] = false;
-            st.live_count -= 1;
-            self.refresh_tiles(&mut st, item);
+            let st = &mut *st;
+            st.live[item] = live;
+            st.agg.refresh(&self.core, item, |j| st.live[j]);
         }
         let st = self.state.borrow();
         let mut store = self.store.borrow_mut();
@@ -763,35 +369,40 @@ impl SparseChurnMatrix {
                 continue;
             };
             row.mutations += 1;
-            if row.mutations >= self.refresh_interval {
-                *row = self.build_live_row(&st, i);
-                continue;
-            }
-            let mut poisoned = false;
-            for port in 0..self.ports {
-                let v = SAFETY * self.raw_contribution(i, port, item);
-                if v >= self.cutoffs[i] {
-                    let removed = row.remove_entry(port, item_id(item));
-                    debug_assert!(removed, "stored pair ({i}, {item}) must exist");
-                } else {
-                    // The corrected bound (see `pad_shed` and the module
-                    // docs): the pad can only gain a non-negative residue
-                    // per cycle — tightened back by the guard rebuild.
-                    if !row.pad_shed(port, v).is_finite() {
-                        poisoned = true;
-                    }
-                }
-            }
-            if poisoned {
-                *row = self.build_live_row(&st, i);
+            if row.mutations >= self.refresh_interval || !self.patch(row, i, item, live) {
+                *row = self.fresh_row(&st, i);
             }
         }
+    }
+
+    /// Patches row `i` for `item`'s arrival (`live == true`) or departure;
+    /// returns `false` when a pad turned non-finite and the row must be
+    /// rebuilt.
+    fn patch(&self, row: &mut ChurnRow, i: usize, item: usize, live: bool) -> bool {
+        let cutoff = self.core.cutoff(i);
+        for port in 0..self.core.ports {
+            let v = self.core.inflated(i, port, item);
+            if v >= cutoff {
+                if live {
+                    debug_assert!(row.get(port, item_id(item)).is_none());
+                    row.insert_sorted(port, item_id(item), v);
+                } else {
+                    let removed = row.remove_entry(port, item_id(item));
+                    debug_assert!(removed, "stored pair ({i}, {item}) must exist");
+                }
+            } else if live {
+                row.pads.pad_absorb(port, v);
+            } else if !row.pads.pad_shed(port, v).is_finite() {
+                return false;
+            }
+        }
+        true
     }
 }
 
 impl InterferenceSystem for SparseChurnMatrix {
     fn len(&self) -> usize {
-        self.n
+        self.core.n
     }
 
     /// The conservative SINR of live item `i` against live `others`: stored
@@ -804,44 +415,18 @@ impl InterferenceSystem for SparseChurnMatrix {
     /// contract).
     fn sinr(&self, i: usize, others: &[usize]) -> f64 {
         let row = self.row_ref(i);
-        let mut ports = [0.0f64; MAX_PORTS];
-        let mut dropped = [0u32; MAX_PORTS];
-        for &j in others {
-            if j == i {
-                continue;
-            }
-            for (port, slot) in ports.iter_mut().enumerate().take(self.ports) {
-                match row.get(port, item_id(j)) {
-                    Some(v) => *slot += v,
-                    None => dropped[port] += 1,
-                }
-            }
-        }
-        for (port, slot) in ports.iter_mut().enumerate().take(self.ports) {
-            if dropped[port] > 0 {
-                *slot += row.mass[port].min(f64::from(dropped[port]) * row.cap[port]);
-            }
-        }
-        let worst = ports[..self.ports]
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let total = worst + self.params.noise();
-        if total == 0.0 {
-            f64::INFINITY
-        } else {
-            self.signals[i] / total
-        }
+        self.core
+            .padded_sinr(i, others, &row.pads, |port, j| row.get(port, j))
     }
 
     fn beta(&self) -> f64 {
-        self.beta
+        self.core.params.beta()
     }
 }
 
 impl IncrementalSystem for SparseChurnMatrix {
     fn num_ports(&self) -> usize {
-        self.ports
+        self.core.ports
     }
 
     /// The stored contribution, or `0.0` for pruned pairs — the engine adds
@@ -851,11 +436,11 @@ impl IncrementalSystem for SparseChurnMatrix {
     }
 
     fn signal(&self, i: usize) -> f64 {
-        self.signals[i]
+        self.core.signals[i]
     }
 
     fn noise(&self) -> f64 {
-        self.params.noise()
+        self.core.params.noise()
     }
 }
 
@@ -905,11 +490,11 @@ impl GainBackend for SparseChurnMatrix {
     }
 
     fn pruned_cap(&self, i: usize, port: usize) -> f64 {
-        self.row_ref(i).cap[port]
+        self.row_ref(i).pads.cap[port]
     }
 
     fn pruned_mass(&self, i: usize, port: usize) -> f64 {
-        self.row_ref(i).mass[port]
+        self.row_ref(i).pads.mass[port]
     }
 
     fn is_exact(&self) -> bool {
@@ -917,19 +502,19 @@ impl GainBackend for SparseChurnMatrix {
     }
 
     fn strict_recheck(&self) -> bool {
-        self.strict
+        self.core.strict
     }
 
     fn exact_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-        SAFETY * self.raw_contribution(i, port, j)
+        self.core.inflated(i, port, j)
     }
 
     fn note_arrival(&self, item: usize) {
-        self.arrive(item);
+        self.set_live(item, true);
     }
 
     fn note_departure(&self, item: usize) {
-        self.depart(item);
+        self.set_live(item, false);
     }
 }
 
@@ -937,6 +522,8 @@ impl GainBackend for SparseChurnMatrix {
 mod tests {
     use super::*;
     use crate::engine::ColorAccumulator;
+    use crate::feasibility::Variant;
+    use crate::params::SinrParams;
     use crate::power::ObliviousPower;
     use crate::request::{Instance, Request};
     use oblisched_metric::{EuclideanSpace, Point2};
@@ -964,9 +551,8 @@ mod tests {
     /// the sum of every *un-inflated* live contribution below the cutoff.
     fn true_pruned_mass(m: &SparseChurnMatrix, live: &[usize], i: usize, port: usize) -> f64 {
         live.iter()
-            .filter(|&&j| j != i)
-            .map(|&j| m.raw_contribution(i, port, j))
-            .filter(|&raw| SAFETY * raw < m.cutoffs[i])
+            .filter(|&&j| j != i && m.core.inflated(i, port, j) < m.core.cutoff(i))
+            .map(|&j| m.core.raw_contribution(i, port, j))
             .sum()
     }
 
@@ -1015,10 +601,10 @@ mod tests {
                             if j == i {
                                 assert_eq!(stored, Some(0.0));
                             } else if live.contains(&j) {
-                                let v = SAFETY * m.raw_contribution(i, port, j);
+                                let v = m.core.inflated(i, port, j);
                                 assert_eq!(
                                     stored.is_some(),
-                                    v >= m.cutoffs[i],
+                                    v >= m.core.cutoff(i),
                                     "storedness of ({i},{j}) must be the pure pair predicate"
                                 );
                                 if let Some(s) = stored {
@@ -1034,7 +620,8 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(m.live_count(), live.len());
+            let st = m.state.borrow();
+            assert_eq!(st.live.iter().filter(|&&l| l).count(), live.len());
         }
     }
 
@@ -1202,8 +789,7 @@ mod tests {
         assert_eq!(m.materialized_rows(), 2);
         m.note_departure(0);
         assert_eq!(m.materialized_rows(), 1);
-        assert!(!m.is_live(0));
-        assert_eq!(m.live_count(), 2);
+        assert_eq!(m.state.borrow().live[..3], [false, true, true]);
         // Re-arrival starts with a fresh, unmaterialised row.
         m.note_arrival(0);
         assert_eq!(m.materialized_rows(), 1);
