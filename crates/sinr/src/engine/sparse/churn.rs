@@ -26,12 +26,16 @@
 //!   entry (when its inflated contribution reaches the row's cutoff) or adds
 //!   to the row's dropped-mass pad; a departure removes the stored entry or
 //!   subtracts from the pad with the *deflated* bound described below;
-//! * a **staleness guard** counts the patches applied to each row and
-//!   triggers a localized rebuild (one row, against the current live
+//! * a **staleness guard** counts the patches applied to each row and can
+//!   trigger a localized rebuild (one row, against the current live
 //!   aggregates) after
 //!   [`with_refresh_interval`](SparseChurnMatrix::with_refresh_interval)
-//!   mutations, bounding how far a patched pad can drift from the freshly
-//!   built one.
+//!   mutations. The default ([`DEFAULT_REFRESH_INTERVAL`]) is never: a row
+//!   is rebuilt only when one of its pads turns non-finite. Timed rebuilds
+//!   buy no conservativeness (the deflated subtraction below holds at any
+//!   interval), and a rebuild does not tighten pads in general: it bounds
+//!   far tiles by their aggregates, where the patches hold the exact
+//!   contributions of the requests that arrived since.
 //!
 //! # The corrected departure bound
 //!
@@ -47,8 +51,8 @@
 //! `SAFETY` (covering the rounding error of the subtraction itself, since
 //! one part in `10^12` dwarfs half an ulp). Each out/in cycle of a pruned
 //! request therefore leaves a small *non-negative* residue in the pad —
-//! staleness, which costs precision and is bounded by the refresh guard,
-//! never unsoundness. The regression test
+//! staleness, which costs a little precision, never unsoundness, and needs
+//! no rebuild at any refresh interval. The regression test
 //! `departure_subtraction_never_erodes_the_pad` pins this bound.
 //!
 //! # Determinism and durable replay
@@ -61,13 +65,15 @@
 //! *pads*, however, depend on when a row was materialised and how it was
 //! patched since. With `refresh_interval == 1` every patch becomes a
 //! rebuild, which makes the pads — and therefore every verdict — a pure
-//! function of the live set as well. That is the configuration durable
-//! sessions need: write-ahead-log recovery re-derives placements instead of
-//! replaying them, so a crash-recovered scheduler only reproduces the
-//! pre-crash coloring bit-for-bit when verdicts cannot depend on the
-//! mutation history. Larger intervals (the default is
-//! [`DEFAULT_REFRESH_INTERVAL`]) trade that replay purity for `O(1)` pad
-//! patches; verdicts stay conservative at any interval.
+//! function of the live set as well; the sparse crash-point suite pins
+//! durable recovery in that configuration. The daemon's durable sessions
+//! run the default, [`DEFAULT_REFRESH_INTERVAL`], which never rebuilds on a
+//! timer: each event costs one patch per materialised row and verdicts stay
+//! conservative, but they depend on the mutation history. Write-ahead-log
+//! recovery re-derives placements instead of replaying them, so a log tail
+//! replayed on a fresh backend can place a request differently from the
+//! recorded run, and recovery then reports the log as corrupt; recovery
+//! from a snapshot with no tail restores the state exactly.
 
 use std::cell::RefCell;
 
@@ -77,9 +83,11 @@ use crate::engine::{item_id, item_index, GainBackend, IncrementalSystem, MAX_POR
 use crate::feasibility::{InterferenceSystem, VariantView};
 use oblisched_metric::{MetricSpace, PlanarMetric};
 
-/// Default number of patches a materialised row tolerates before the
-/// staleness guard rebuilds it against the current live aggregates.
-pub const DEFAULT_REFRESH_INTERVAL: usize = 64;
+/// Default staleness-guard interval: never. A materialised row is patched
+/// on every event and rebuilt only when one of its pads turns non-finite;
+/// the [module docs](self) say why timed rebuilds are not needed. The
+/// daemon's durable sessions run this default.
+pub const DEFAULT_REFRESH_INTERVAL: usize = usize::MAX;
 
 /// Which items are live, and the grid aggregates of exactly those items.
 #[derive(Debug, Clone)]
@@ -220,8 +228,10 @@ impl SparseChurnMatrix {
     /// Returns a copy-by-move with the staleness-guard interval replaced:
     /// a materialised row is rebuilt against the current live aggregates
     /// after this many patches. `1` makes every verdict a pure function of
-    /// the live set (required for bit-exact durable replay, see the
-    /// [module docs](self)); larger values make patches `O(1)`.
+    /// the live set, so a replayed log tail re-derives the recorded
+    /// placements (see the [module docs](self)). Verdicts are conservative
+    /// at every interval; the default, [`DEFAULT_REFRESH_INTERVAL`], never
+    /// rebuilds on a timer.
     ///
     /// # Panics
     ///
@@ -769,6 +779,65 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The default guard never rebuilds on a timer: through a long churn
+    /// trace, a default-built matrix keeps every live row's pads bit for bit
+    /// equal to those of a matrix whose interval is out of reach. A matrix
+    /// at interval 64, whose guard fires within the trace, diverges (the
+    /// negative control).
+    #[test]
+    fn default_interval_never_rebuilds_on_a_timer() {
+        let inst = planar_instance();
+        let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
+        let n = inst.len();
+        for variant in Variant::all() {
+            let view = eval.view(variant);
+            let config = SparseConfig {
+                cutoff_fraction: 0.05,
+                ..SparseConfig::default()
+            };
+            let default = SparseChurnMatrix::new(&view, &config);
+            let never = SparseChurnMatrix::new(&view, &config).with_refresh_interval(usize::MAX);
+            let timed = SparseChurnMatrix::new(&view, &config).with_refresh_interval(64);
+            let pads = |m: &SparseChurnMatrix, i: usize, port: usize| {
+                (
+                    m.pruned_mass(i, port).to_bits(),
+                    m.pruned_cap(i, port).to_bits(),
+                )
+            };
+            // Four anchors arrive first and stay, so their rows outlive the
+            // 64-patch guard; the other eight toggle in and out.
+            let events = (0..4).chain((0..240usize).map(|k| 4 + (k * 5 + k / 8) % (n - 4)));
+            let mut live = vec![false; n];
+            let mut timed_diverged = false;
+            for (step, item) in events.enumerate() {
+                live[item] = !live[item];
+                for m in [&default, &never, &timed] {
+                    if live[item] {
+                        m.note_arrival(item);
+                    } else {
+                        m.note_departure(item);
+                    }
+                }
+                for i in (0..n).filter(|&i| live[i]) {
+                    for port in 0..default.ports() {
+                        assert_eq!(
+                            pads(&default, i, port),
+                            pads(&never, i, port),
+                            "step {step}: row {i} port {port} of the default matrix was \
+                             rebuilt under {variant}"
+                        );
+                        timed_diverged |= pads(&timed, i, port) != pads(&never, i, port);
+                    }
+                }
+            }
+            assert!(
+                timed_diverged,
+                "the interval-64 guard never changed a pad under {variant}: the trace \
+                 does not exercise timed rebuilds"
+            );
         }
     }
 

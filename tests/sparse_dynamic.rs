@@ -11,6 +11,7 @@
 
 use oblisched::dynamic::{DynamicScheduler, RequestId};
 use oblisched_instances::scaling_uniform;
+use oblisched_sinr::engine::sparse::DEFAULT_REFRESH_INTERVAL;
 use oblisched_sinr::{
     InterferenceSystem, ObliviousPower, SinrParams, SparseChurnMatrix, SparseConfig, Variant,
 };
@@ -18,8 +19,10 @@ use proptest::prelude::*;
 
 /// The staleness-guard cadences the interleaving sweep exercises: rebuild on
 /// every event (pure function of the live set), a small interval (patches and
-/// rebuilds mix), and the default-sized interval (patch-dominated).
-const REFRESH_INTERVALS: [usize; 3] = [1, 3, 64];
+/// rebuilds mix), a 64-patch interval, and the default the daemon's sessions
+/// run (never rebuild on a timer: pure patching). A case has fewer than 48
+/// ops, so at 64 the guard never fires either.
+const REFRESH_INTERVALS: [usize; 4] = [1, 3, 64, DEFAULT_REFRESH_INTERVAL];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -28,7 +31,7 @@ proptest! {
     fn sparse_dynamic_conservative_under_interleavings(
         seed in any::<u64>(),
         n in 10usize..20,
-        interval_choice in 0usize..3,
+        interval_choice in 0..REFRESH_INTERVALS.len(),
         ops in prop::collection::vec((0u8..3, any::<u8>()), 8..48),
     ) {
         let instance = scaling_uniform(n, seed);
