@@ -384,6 +384,42 @@ fn sinr_from_ports(signal: f64, ports: &[f64], noise: f64) -> f64 {
     }
 }
 
+/// The outcome of one SINR check of an insertion attempt (the candidate's,
+/// or one member's).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// Feasible with the pruning pad.
+    Pass,
+    /// Infeasible with the pad, feasible without it, and the backend asks
+    /// for a [strict recheck](GainBackend::strict_recheck) to settle it.
+    Borderline,
+    /// Infeasible: the insertion is rejected whatever the other checks say.
+    Fail,
+}
+
+/// Classifies one SINR check from the checked item's `padded` and `raw`
+/// (stored-sum) per-port interference. `sinr >= threshold` (not a negated
+/// `<`) so that a NaN SINR counts as infeasible, exactly as in the naive
+/// `is_feasible_with_gain`. Borderline only if the raw verdict accepts: when
+/// even the underestimate rejects, the exact system rejects.
+#[inline]
+fn check(
+    signal: f64,
+    padded: &[f64],
+    raw: &[f64],
+    noise: f64,
+    threshold: f64,
+    strict: bool,
+) -> Check {
+    if sinr_from_ports(signal, padded, noise) >= threshold {
+        Check::Pass
+    } else if strict && sinr_from_ports(signal, raw, noise) >= threshold {
+        Check::Borderline
+    } else {
+        Check::Fail
+    }
+}
+
 /// Default number of removals after which [`ColorAccumulator`] rebuilds its
 /// running sums exactly (see [`ColorAccumulator::remove`]).
 pub const DEFAULT_REBUILD_INTERVAL: usize = 64;
@@ -547,6 +583,33 @@ impl ProbeBatch {
 /// maximum relative drift it erased. The removal property tests in
 /// `tests/properties.rs` pin the within-tolerance guarantee across all
 /// oblivious assignments and both variants.
+///
+/// # Asking the last rejecter first
+///
+/// A candidate joins only when its own check and every member's check pass,
+/// so the verdict is a conjunction and the order of the checks is free: no
+/// order changes a verdict, and a commit adds the same sums whichever check
+/// ran first. The accumulator remembers the member that last rejected a
+/// candidate, its *witness*, and
+/// [`try_insert_with_gain`](ColorAccumulator::try_insert_with_gain) (behind
+/// [`try_insert`](ColorAccumulator::try_insert)) asks it before anything
+/// else. On the sparse-churn tier most rejections come from a member whose
+/// pruning pad leaves almost no headroom, whichever candidate arrives, and
+/// that member nearly always rejects the next candidate too: a repeated
+/// rejection then costs one member check instead of a candidate probe plus
+/// a member scan up to that member. A removal shifts the witness with its
+/// member or forgets it when that member leaves;
+/// [`clear`](ColorAccumulator::clear) and
+/// [`reset_for`](ColorAccumulator::reset_for) forget it and
+/// [`rebuild`](ColorAccumulator::rebuild) keeps it.
+///
+/// [`try_insert_with_gain_batched`](ColorAccumulator::try_insert_with_gain_batched)
+/// records the witness but never asks it. Its drivers, batched first-fit
+/// and the tile-sharded parallel merge, are held against each other by
+/// experiment E11, whose floor wants the parallel tier at least twice as
+/// fast as serial sparse first-fit on the same backend. Asking the witness
+/// there speeds up serial sparse first-fit several times over but leaves
+/// the parallel tier where it is, which would break that floor.
 #[derive(Debug)]
 pub struct ColorAccumulator<'s, S: ?Sized> {
     system: &'s S,
@@ -569,6 +632,11 @@ pub struct ColorAccumulator<'s, S: ?Sized> {
     removals: usize,
     /// Drift guard threshold: rebuild exactly after this many removals.
     rebuild_interval: usize,
+    /// Position of the member that last rejected a candidate, asked first by
+    /// [`try_insert_with_gain`](ColorAccumulator::try_insert_with_gain).
+    /// `None` until a member rejects, and again after that member leaves or
+    /// the class is emptied.
+    witness: Option<usize>,
 }
 
 // Manual impl: the derive would demand `S: Clone`, but the accumulator only
@@ -584,6 +652,7 @@ impl<S: ?Sized> Clone for ColorAccumulator<'_, S> {
             in_class: self.in_class.clone(),
             removals: self.removals,
             rebuild_interval: self.rebuild_interval,
+            witness: self.witness,
         }
     }
 }
@@ -606,6 +675,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
             in_class,
             removals: 0,
             rebuild_interval: DEFAULT_REBUILD_INTERVAL,
+            witness: None,
         }
     }
 
@@ -657,14 +727,16 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
             bits.fill(0);
         }
         self.removals = 0;
+        self.witness = None;
     }
 
     /// Rebinds a recycled accumulator to `system` and empties it, keeping
     /// the member/sum allocations (and, when possible, the membership-bitset
     /// allocation) warm. A pooled accumulator reset this way is
-    /// indistinguishable from [`new`](ColorAccumulator::new) — the first-fit
-    /// drivers in `oblisched_core` recycle class accumulators across merge
-    /// layers with this instead of reallocating.
+    /// indistinguishable from [`new`](ColorAccumulator::new), down to the
+    /// default drift-guard interval — the first-fit drivers in
+    /// `oblisched_core` recycle class accumulators across merge layers with
+    /// this instead of reallocating.
     ///
     /// # Panics
     ///
@@ -682,6 +754,8 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         self.sums.clear();
         self.drops.clear();
         self.removals = 0;
+        self.rebuild_interval = DEFAULT_REBUILD_INTERVAL;
+        self.witness = None;
         if system.is_exact() {
             self.in_class = None;
         } else {
@@ -847,7 +921,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
 
     /// Checks whether the class stays feasible at `gain` if `i` joins, and
     /// commits the insertion when it does. Returns `true` on success; on
-    /// failure the accumulator is left untouched.
+    /// failure the members and sums are left untouched.
     ///
     /// For exact backends, verdicts match
     /// `is_feasible_with_gain(class ∪ {i}, gain)` of the naive path exactly.
@@ -858,8 +932,18 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// [`strict_recheck`](GainBackend::strict_recheck), in which case
     /// borderline verdicts are settled by recomputing the class exactly
     /// (`O(members²)` un-pruned contributions).
+    ///
+    /// The member that last rejected a candidate is asked first, before the
+    /// candidate probe (see [the type docs](ColorAccumulator)); its reject
+    /// ends the attempt in `O(ports)` lookups.
     pub fn try_insert_with_gain(&mut self, i: usize, gain: f64) -> bool {
         let (threshold, limit_hi) = self.gain_limits(i, gain);
+        if let Some(pos) = self.witness {
+            let (j, noise) = (self.members[pos], self.system.noise());
+            if self.member_check(pos, j, i, threshold, noise, self.strict()) == Check::Fail {
+                return false;
+            }
+        }
         let Some((cand, cand_drops)) = self.candidate_probe(i, limit_hi) else {
             return false;
         };
@@ -922,12 +1006,19 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         (threshold, limit + limit.abs() * 1e-9)
     }
 
+    /// `true` when borderline checks go to the exact recheck: a pruned
+    /// backend that asks for [`strict_recheck`](GainBackend::strict_recheck).
+    fn strict(&self) -> bool {
+        self.system.strict_recheck() && !self.system.is_exact()
+    }
+
     /// The member-side half of an insertion attempt: given the candidate's
     /// probed per-port sums and drop counts, checks the candidate's own SINR
     /// and every member's updated SINR against `threshold`, settles
     /// borderline verdicts via the strict recheck when the backend requests
     /// it, and commits on acceptance. Returns `true` on success; on failure
-    /// the accumulator is left untouched.
+    /// the members and sums are left untouched, and a member that rejected
+    /// becomes the witness.
     fn admit_with_candidate(
         &mut self,
         i: usize,
@@ -936,47 +1027,31 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         cand_drops: [u32; MAX_PORTS],
     ) -> bool {
         let noise = self.system.noise();
-        let strict = self.system.strict_recheck() && !self.system.is_exact();
-        let mut borderline = false;
-        let signal_i = self.system.signal(i);
+        let strict = self.strict();
         let mut padded = [0.0f64; MAX_PORTS];
         for (port, slot) in padded.iter_mut().enumerate().take(self.ports) {
             *slot = cand[port] + self.pad(i, port, cand_drops[port]);
         }
-        // `sinr >= threshold` (not a negated `<`) so that a NaN SINR counts
-        // as infeasible, exactly as in the naive `is_feasible_with_gain`.
-        let cand_ok = sinr_from_ports(signal_i, &padded[..self.ports], noise) >= threshold;
-        if !cand_ok {
-            // Borderline only if the un-padded (stored-sum) verdict accepts;
-            // when even the underestimate rejects, the exact system rejects.
-            let optimistic_ok = sinr_from_ports(signal_i, &cand[..self.ports], noise) >= threshold;
-            if !strict || !optimistic_ok {
-                return false;
-            }
-            borderline = true;
-        }
+        let mut borderline = match check(
+            self.system.signal(i),
+            &padded[..self.ports],
+            &cand[..self.ports],
+            noise,
+            threshold,
+            strict,
+        ) {
+            Check::Pass => false,
+            Check::Borderline => true,
+            Check::Fail => return false,
+        };
         for (pos, &j) in self.members.iter().enumerate() {
-            let mut raw = [0.0f64; MAX_PORTS];
-            let mut member_padded = [0.0f64; MAX_PORTS];
-            for port in 0..self.ports {
-                let slot = pos * self.ports + port;
-                let (add, extra) = match self.system.stored_contribution(j, port, i) {
-                    Some(v) => (v, 0),
-                    None => (0.0, 1),
-                };
-                raw[port] = self.sums[slot] + add;
-                member_padded[port] = raw[port] + self.pad(j, port, self.drops[slot] + extra);
-            }
-            let signal_j = self.system.signal(j);
-            let member_ok =
-                sinr_from_ports(signal_j, &member_padded[..self.ports], noise) >= threshold;
-            if !member_ok {
-                let optimistic_ok =
-                    sinr_from_ports(signal_j, &raw[..self.ports], noise) >= threshold;
-                if !strict || !optimistic_ok {
+            match self.member_check(pos, j, i, threshold, noise, strict) {
+                Check::Pass => {}
+                Check::Borderline => borderline = true,
+                Check::Fail => {
+                    self.witness = Some(pos);
                     return false;
                 }
-                borderline = true;
             }
         }
         if borderline && !self.exact_recheck(i, threshold) {
@@ -984,6 +1059,41 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         }
         self.commit(i, cand, cand_drops);
         true
+    }
+
+    /// Checks member `j`, at position `pos`, as if candidate `i` had joined:
+    /// its running sums plus `i`'s stored contribution, padded for every
+    /// pruned class member including `i`. `noise` is the system's, hoisted
+    /// out of the member scan.
+    #[inline]
+    fn member_check(
+        &self,
+        pos: usize,
+        j: usize,
+        i: usize,
+        threshold: f64,
+        noise: f64,
+        strict: bool,
+    ) -> Check {
+        let mut raw = [0.0f64; MAX_PORTS];
+        let mut padded = [0.0f64; MAX_PORTS];
+        for port in 0..self.ports {
+            let slot = pos * self.ports + port;
+            let (add, extra) = match self.system.stored_contribution(j, port, i) {
+                Some(v) => (v, 0),
+                None => (0.0, 1),
+            };
+            raw[port] = self.sums[slot] + add;
+            padded[port] = raw[port] + self.pad(j, port, self.drops[slot] + extra);
+        }
+        check(
+            self.system.signal(j),
+            &padded[..self.ports],
+            &raw[..self.ports],
+            noise,
+            threshold,
+            strict,
+        )
     }
 
     /// Settles a borderline verdict by refolding the would-be class
@@ -1053,6 +1163,11 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     pub fn remove_at(&mut self, pos: usize) -> usize {
         assert!(pos < self.members.len(), "position {pos} out of range");
         let i = self.members.remove(pos);
+        self.witness = match self.witness {
+            Some(w) if w == pos => None,
+            Some(w) if w > pos => Some(w - 1),
+            kept => kept,
+        };
         let start = pos * self.ports;
         self.sums.drain(start..start + self.ports);
         self.drops.drain(start..start + self.ports);
@@ -1825,10 +1940,11 @@ mod tests {
         let params = SinrParams::new(3.0, 1.0).unwrap();
         let eval = inst.evaluator(params, &ObliviousPower::SquareRoot);
         let view = eval.view(Variant::Bidirectional);
-        let mut recycled = ColorAccumulator::new(&view);
-        for &i in &[0usize, 1, 2] {
-            recycled.insert_unchecked(i);
-        }
+        let mut recycled = ColorAccumulator::with_members(&view, &[0, 1]).with_rebuild_interval(1);
+        // At the pair's own SINR, far item 2 is rejected by a member.
+        let tight = recycled.sinr_of(0).min(recycled.sinr_of(1));
+        assert!(!recycled.try_insert_with_gain(2, tight));
+        assert!(recycled.witness.is_some());
         recycled.reset_for(&view);
         let mut fresh = ColorAccumulator::new(&view);
         for i in 0..inst.len() {
@@ -1844,6 +1960,167 @@ mod tests {
                 recycled.sinr_of(pos).to_bits(),
                 fresh.sinr_of(pos).to_bits()
             );
+        }
+        // The recycled accumulator is back on the default drift guard.
+        recycled.remove_at(0);
+        fresh.remove_at(0);
+        assert_eq!(
+            recycled.removals_since_rebuild(),
+            fresh.removals_since_rebuild()
+        );
+    }
+
+    /// Forwards every call to `inner` and counts the
+    /// [`stored_contribution`](GainBackend::stored_contribution) calls: the
+    /// member-side lookups of an insertion attempt. Candidate probes go
+    /// through the forwarded `fold_candidate` and are not counted.
+    struct Counting<'a, S> {
+        inner: &'a S,
+        lookups: std::cell::Cell<usize>,
+    }
+
+    impl<S: InterferenceSystem> InterferenceSystem for Counting<'_, S> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn sinr(&self, i: usize, others: &[usize]) -> f64 {
+            self.inner.sinr(i, others)
+        }
+
+        fn beta(&self) -> f64 {
+            self.inner.beta()
+        }
+    }
+
+    impl<S: IncrementalSystem> IncrementalSystem for Counting<'_, S> {
+        fn num_ports(&self) -> usize {
+            self.inner.num_ports()
+        }
+
+        fn contribution(&self, i: usize, port: usize, j: usize) -> f64 {
+            self.inner.contribution(i, port, j)
+        }
+
+        fn signal(&self, i: usize) -> f64 {
+            self.inner.signal(i)
+        }
+
+        fn noise(&self) -> f64 {
+            self.inner.noise()
+        }
+    }
+
+    impl<S: GainBackend> GainBackend for Counting<'_, S> {
+        fn stored_contribution(&self, i: usize, port: usize, j: usize) -> Option<f64> {
+            self.lookups.set(self.lookups.get() + 1);
+            self.inner.stored_contribution(i, port, j)
+        }
+
+        fn stored_row(&self, i: usize, port: usize) -> Option<RowRef<'_>> {
+            self.inner.stored_row(i, port)
+        }
+
+        fn fold_candidate(
+            &self,
+            i: usize,
+            ports: usize,
+            members: &[usize],
+            limit_hi: f64,
+            acc: &mut [f64; MAX_PORTS],
+            dropped: &mut [u32; MAX_PORTS],
+        ) -> bool {
+            self.inner
+                .fold_candidate(i, ports, members, limit_hi, acc, dropped)
+        }
+
+        fn pruned_cap(&self, i: usize, port: usize) -> f64 {
+            self.inner.pruned_cap(i, port)
+        }
+
+        fn pruned_mass(&self, i: usize, port: usize) -> f64 {
+            self.inner.pruned_mass(i, port)
+        }
+
+        fn is_exact(&self) -> bool {
+            self.inner.is_exact()
+        }
+
+        fn strict_recheck(&self) -> bool {
+            self.inner.strict_recheck()
+        }
+
+        fn exact_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
+            self.inner.exact_contribution(i, port, j)
+        }
+
+        fn note_arrival(&self, item: usize) {
+            self.inner.note_arrival(item);
+        }
+
+        fn note_departure(&self, item: usize) {
+            self.inner.note_departure(item);
+        }
+    }
+
+    #[test]
+    fn a_repeated_rejection_asks_the_witness_first() {
+        // Items 0 and 1 are strong links far out; 2, 3 and 4 are weak links
+        // in a row, so the middle one (3) is the class's weakest member;
+        // the rest are candidates far from everything.
+        let mut points = vec![-1000.0, -999.0, 1000.0, 1001.0];
+        points.extend([0.0, 3.0, 8.0, 11.0, 16.0, 19.0]);
+        for k in 0..8 {
+            let x = 300.0 + 10.0 * f64::from(k);
+            points.extend([x, x + 1.0]);
+        }
+        let requests = (0..points.len() / 2)
+            .map(|r| Request::new(2 * r, 2 * r + 1))
+            .collect();
+        let inst = Instance::new(LineMetric::new(points), requests).unwrap();
+        let params = SinrParams::new(3.0, 1.0).unwrap();
+        let eval = inst.evaluator(params, &ObliviousPower::Uniform);
+        for variant in Variant::all() {
+            let matrix = eval.view(variant).cached();
+            let counting = Counting {
+                inner: &matrix,
+                lookups: std::cell::Cell::new(0),
+            };
+            let ports = counting.num_ports();
+            let class = [0, 1, 2, 3, 4];
+            let mut acc = ColorAccumulator::with_members(&counting, &class);
+            let mut far = 5..inst.len();
+            // Rejects the next far candidate at the class's own largest
+            // feasible gain, where its weakest member has almost no
+            // headroom, and returns the member-side lookups it took.
+            let mut reject = |acc: &mut ColorAccumulator<'_, Counting<'_, GainMatrix>>| {
+                let gain = (0..acc.len())
+                    .map(|pos| acc.sinr_of(pos))
+                    .fold(f64::INFINITY, f64::min);
+                let i = far.next().expect("enough far candidates");
+                counting.lookups.set(0);
+                assert!(
+                    !acc.try_insert_with_gain(i, gain),
+                    "far candidate {i} accepted ({variant})"
+                );
+                counting.lookups.get()
+            };
+            // The first rejection scans up to the weakest member, 3.
+            assert_eq!(reject(&mut acc), 4 * ports, "{variant}");
+            assert!(reject(&mut acc) <= ports, "{variant}");
+            // A removal before the witness shifts it along with its member.
+            assert!(acc.remove(0));
+            assert!(reject(&mut acc) <= ports, "{variant}");
+            // Negative controls: once the witness leaves, or the class is
+            // emptied, the next rejection scans the class again.
+            assert!(acc.remove(3));
+            assert!(reject(&mut acc) > ports, "{variant}");
+            assert!(reject(&mut acc) <= ports, "{variant}");
+            acc.clear();
+            for &m in &class {
+                acc.insert_unchecked(m);
+            }
+            assert_eq!(reject(&mut acc), 4 * ports, "{variant}");
         }
     }
 

@@ -315,7 +315,7 @@ proptest! {
     fn accumulator_removal_matches_scratch_rebuild(
         instance in arb_instance(10, 80.0, 6.0),
         params in arb_params(),
-        ops in prop::collection::vec((any::<bool>(), any::<usize>()), 1..40),
+        ops in prop::collection::vec((any::<bool>(), any::<bool>(), any::<usize>()), 1..40),
     ) {
         // After ANY interleaving of inserts and removes the accumulator's
         // interference sums must stay within tolerance of an accumulator
@@ -324,6 +324,9 @@ proptest! {
         // variants. Two drift-guard extremes are exercised side by side: an
         // interval-1 accumulator (rebuilds after every removal, bit-for-bit
         // fresh) and a never-rebuilding one (worst-case accumulated drift).
+        // Checked inserts go through the interval-1 accumulator, so the
+        // member that rejects them is remembered and then shifted or
+        // forgotten by later removals.
         let n = instance.len();
         for power in ObliviousPower::standard_assignments() {
             let eval = instance.evaluator(params, &power);
@@ -333,13 +336,20 @@ proptest! {
                     ColorAccumulator::new(&view).with_rebuild_interval(usize::MAX);
                 let mut exact = ColorAccumulator::new(&view).with_rebuild_interval(1);
                 let mut shadow: Vec<usize> = Vec::new();
-                for &(is_insert, sel) in &ops {
+                for &(is_insert, checked, sel) in &ops {
                     if is_insert {
                         let i = sel % n;
-                        if !shadow.contains(&i) {
-                            // Unchecked insertion also covers infeasible sets.
+                        let joins = !shadow.contains(&i)
+                            && if checked {
+                                exact.try_insert(i)
+                            } else {
+                                // Unchecked insertion also covers infeasible
+                                // sets.
+                                exact.insert_unchecked(i);
+                                true
+                            };
+                        if joins {
                             drifted.insert_unchecked(i);
-                            exact.insert_unchecked(i);
                             shadow.push(i);
                         }
                     } else if !shadow.is_empty() {
@@ -350,6 +360,15 @@ proptest! {
                     prop_assert_eq!(drifted.members(), shadow.as_slice());
                     prop_assert_eq!(exact.members(), shadow.as_slice());
                     let fresh = ColorAccumulator::with_members(&view, &shadow);
+                    // The sums are bit-identical and the fresh accumulator
+                    // has no witness, so the verdicts must agree.
+                    for i in (0..n).filter(|i| !shadow.contains(i)) {
+                        prop_assert!(
+                            exact.clone().try_insert(i) == fresh.clone().try_insert(i),
+                            "verdict for {} diverged from a fresh accumulator under {} / {}",
+                            i, power.name(), variant
+                        );
+                    }
                     for pos in 0..shadow.len() {
                         // Interval 1: every removal rebuilds, so the sums are
                         // bit-for-bit the fresh left-to-right fold.
