@@ -45,7 +45,7 @@ cargo test -q --release -p oblisched-suite --test durable_recovery
 echo "==> sparse dynamic certification + churn acceptance (release)"
 # The interleaving proptest — the sparse-backed DynamicScheduler never
 # accepts a placement the naive evaluator rejects, at *any* intermediate
-# state, across assignments × variants × folded/per-port — plus the
+# state, across assignments × variants × refresh intervals — plus the
 # large-universe acceptance replay on the facade-selected sparse backend.
 # SPARSE_CHURN_SMOKE=1 (the default here) shrinks the acceptance universe
 # to 4k — still past the dense budget, so the sparse tier is exercised —

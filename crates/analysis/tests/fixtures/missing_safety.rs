@@ -10,14 +10,38 @@ pub fn bad_transfer(m: &mut Matrix, row: &Row, i: usize, port: usize) {
     m.dropped_mass[i] = row.mass[port]; //~ missing-safety-inflation
 }
 
+pub fn bad_scalar_write(pads: &mut Pads, v: f64) {
+    pads.mass += v; //~ missing-safety-inflation
+    pads.cap = v; //~ missing-safety-inflation
+}
+
+pub fn bad_scalar_bound_from_earlier_line(pads: &mut Pads, v: f64) {
+    let worst = SAFETY * v;
+    pads.cap = pads.cap.max(worst); //~ missing-safety-inflation
+}
+
 pub fn good_inflated(row: &mut Row, port: usize, v: f64) {
     row.mass[port] += v * SAFETY;
     row.cap[port] = row.cap[port].max(v * SAFETY);
 }
 
+pub fn good_scalar_inflated(pads: &mut Pads, v: f64) {
+    pads.mass += SAFETY * v;
+    pads.cap = pads.cap.max(SAFETY * v);
+}
+
 pub fn good_helper(row: &mut Row, port: usize, v: f64) {
     row.pad_absorb(port, v * SAFETY);
     let _ = row.pad_shed(port, v);
+}
+
+pub fn good_scalar_helper(pads: &mut Pads, v: f64) {
+    pads.pad_absorb(SAFETY * v);
+    let _ = pads.pad_shed(v);
+}
+
+pub fn good_scalar_read(pads: &Pads) -> f64 {
+    pads.mass.min(pads.cap)
 }
 
 pub fn good_read(row: &Row, port: usize) -> f64 {

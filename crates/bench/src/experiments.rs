@@ -803,7 +803,7 @@ pub fn e11_backend_tiers() -> Table {
     use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
     use oblisched::{parallel_first_fit, tile_shards};
     use oblisched_instances::scaling_uniform_10k;
-    use oblisched_sinr::{GainMatrix, Schedule, SparseConfig, SparseGainMatrix};
+    use oblisched_sinr::{GainMatrix, IncrementalSystem, Schedule, SparseConfig, SparseGainMatrix};
 
     let p = params();
     let mut table = Table::new(
@@ -919,7 +919,7 @@ pub fn e11_backend_tiers() -> Table {
     ]);
     table.push_engine(
         "sparse n=10000 (default cutoff)",
-        sparse_stats(serial_bytes, sparse.ports()),
+        sparse_stats(serial_bytes, sparse.num_ports()),
     );
     let serial_same_bad = non_conservative(&serial_same_schedule);
     assert_eq!(serial_same_bad, 0, "sparse verdicts must be conservative");
@@ -933,7 +933,7 @@ pub fn e11_backend_tiers() -> Table {
     ]);
     table.push_engine(
         "sparse n=10000 (2e-3 cutoff)",
-        sparse_stats(serial_same_bytes, same_backend.ports()),
+        sparse_stats(serial_same_bytes, same_backend.num_ports()),
     );
     for (threads, schedule, ms, bytes) in &par_runs {
         let bad = non_conservative(schedule);
@@ -959,7 +959,7 @@ pub fn e11_backend_tiers() -> Table {
         ]);
         table.push_engine(
             format!("parallel-sparse n=10000 ({threads}t)"),
-            sparse_stats(*bytes, same_backend.ports()),
+            sparse_stats(*bytes, same_backend.num_ports()),
         );
     }
 

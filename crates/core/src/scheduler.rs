@@ -63,7 +63,8 @@ pub struct EngineStats {
     pub backend: EngineBackend,
     /// Number of requests.
     pub n: usize,
-    /// Interference ports per request (1 directed, 2 bidirectional).
+    /// Interference ports per request (1 directed, 2 bidirectional; always
+    /// 1 on the sparse tiers, which keep one row per request).
     pub ports: usize,
     /// Actual heap footprint of the chosen backend in bytes (0 for
     /// [`EngineBackend::OnTheFly`]).
@@ -249,14 +250,6 @@ impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
         self.tier().is_exact()
     }
 
-    fn strict_recheck(&self) -> bool {
-        self.tier().strict_recheck()
-    }
-
-    fn exact_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-        self.tier().exact_contribution(i, port, j)
-    }
-
     fn note_arrival(&self, item: usize) {
         self.tier().note_arrival(item)
     }
@@ -352,6 +345,9 @@ impl Scheduler {
     ///
     /// # Errors
     ///
+    /// * [`ScheduleError::Sinr`] with [`SinrError::InvalidParams`] — the
+    ///   sparse configuration, after the request's override, fails
+    ///   [`SparseConfig::validate`] (checked before any work),
     /// * [`ScheduleError::UnsupportedVariant`] — a `Sqrt*` strategy was
     ///   requested for the directed variant,
     /// * [`ScheduleError::ValidationFailed`] — a produced multi-request
@@ -374,6 +370,7 @@ impl Scheduler {
         if let Some(sparse) = request.sparse {
             eff.sparse_config = sparse;
         }
+        eff.sparse_config.validate()?;
         match request.strategy {
             SolveStrategy::FirstFit => match request.backend {
                 BackendPolicy::Exact => eff.first_fit_exact(instance, request.assignment),
@@ -423,8 +420,7 @@ impl Scheduler {
     /// `n ≥ 10⁴` planar instances cached where the dense matrix would need
     /// gigabytes. Sparse verdicts are conservative, so the returned
     /// schedule validates against the exact evaluator just like the dense
-    /// one (it may spend a few more colors; `strict` in [`SparseConfig`]
-    /// buys them back).
+    /// one (it may spend a few more colors).
     fn first_fit_auto<M: MetricSpace + PlanarMetric>(
         &self,
         instance: &Instance<M>,
@@ -679,9 +675,9 @@ impl Scheduler {
     }
 
     /// The stats of either sparse tier, batch or churn, whose footprint is
-    /// `bytes`. `true_ports` is the variant's port count — the folded sparse
-    /// backend reports a single port, but the dense-footprint comparison
-    /// must use what the dense matrix would actually allocate.
+    /// `bytes`. `true_ports` is the variant's port count — the sparse tiers
+    /// report a single port (one row per request), but the dense-footprint
+    /// comparison must use what the dense matrix would actually allocate.
     fn sparse_stats(
         &self,
         sparse: &impl IncrementalSystem,
@@ -948,5 +944,38 @@ mod tests {
         // Both tiers schedule the whole instance.
         assert_eq!(exact.schedule.len(), 12);
         assert_eq!(auto.schedule.len(), 12);
+    }
+
+    #[test]
+    fn out_of_range_sparse_cutoffs_are_typed_errors() {
+        let inst = nested_chain(12, 2.0);
+        // Budget 0 sends the solve to the sparse tier.
+        let request = SolveRequest::first_fit(PowerAssignment::SquareRoot).with_matrix_budget(0);
+        for cutoff in [-0.1, f64::NAN, f64::INFINITY] {
+            let sparse = SparseConfig {
+                cutoff_fraction: cutoff,
+                ..SparseConfig::default()
+            };
+            // Through the request's override and the scheduler's own config.
+            for (s, r) in [
+                (scheduler(), request.with_sparse_config(sparse)),
+                (scheduler().sparse_config(sparse), request),
+            ] {
+                let err = s.solve(&inst, &r).unwrap_err();
+                assert!(
+                    matches!(err, ScheduleError::Sinr(SinrError::InvalidParams { .. })),
+                    "cutoff {cutoff}: {err:?}"
+                );
+            }
+        }
+        // Negative control: the boundary value 0 is legal.
+        let zero = SparseConfig {
+            cutoff_fraction: 0.0,
+            ..SparseConfig::default()
+        };
+        let solved = scheduler()
+            .solve(&inst, &request.with_sparse_config(zero))
+            .unwrap();
+        assert_eq!(solved.engine.backend, EngineBackend::Sparse);
     }
 }

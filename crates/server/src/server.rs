@@ -354,6 +354,22 @@ mod tests {
             WireResponse::Error(e) => assert_eq!(e.kind, WireErrorKind::BadRequest),
             other => panic!("expected error, got {other:?}"),
         }
+
+        // So is an out-of-range sparse cutoff on a solve that reaches the
+        // sparse tier.
+        let bad_cutoff = SolveJob {
+            request: job.request.with_matrix_budget(0).with_sparse_config(
+                oblisched_sinr::SparseConfig {
+                    cutoff_fraction: -0.1,
+                    ..Default::default()
+                },
+            ),
+            ..job
+        };
+        match server.dispatch_line(&render_request(&WireRequest::Solve(bad_cutoff))) {
+            WireResponse::Error(e) => assert_eq!(e.kind, WireErrorKind::Schedule, "{e}"),
+            other => panic!("expected error, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(server.registry().data_dir());
     }
 

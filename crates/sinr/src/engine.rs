@@ -245,7 +245,10 @@ impl<'a> RowRef<'a> {
 ///   verdict is **conservative**: a set accepted through a pruned backend is
 ///   always feasible for the exact system (the reverse may not hold — a
 ///   pruned backend can reject borderline sets the exact system accepts,
-///   costing colors, never correctness).
+///   costing colors, never correctness). The sparse tiers keep one row per
+///   request ([`num_ports`](IncrementalSystem::num_ports) is `1`, the ports
+///   of a bidirectional request folded into their maximum) and ignore the
+///   `port` arguments, which serve the dense tier.
 ///
 /// # Contract
 ///
@@ -256,9 +259,11 @@ impl<'a> RowRef<'a> {
 ///   [`pruned_cap`](GainBackend::pruned_cap) of its row, and the sum of all
 ///   unrepresented contributions of a row at most
 ///   [`pruned_mass`](GainBackend::pruned_mass).
-/// * [`exact_contribution`](GainBackend::exact_contribution) recomputes a
-///   contribution without pruning and must not underestimate the true value
-///   (exact backends return it verbatim).
+/// * A backend may report fewer ports than the exact system has (the sparse
+///   tiers fold a bidirectional request's two ports into one row). The
+///   bounds above then hold for every true port: a stored value bounds the
+///   pair's contribution at each of them, and the pads bound what each of
+///   them dropped.
 pub trait GainBackend: IncrementalSystem {
     /// The stored contribution of pair `(i, port, j)`, or `None` when the
     /// backend pruned it. Exact backends store everything.
@@ -336,23 +341,6 @@ pub trait GainBackend: IncrementalSystem {
         true
     }
 
-    /// `true` when borderline verdicts (rejected with the pruning bound,
-    /// accepted without it) should be re-checked through
-    /// [`exact_contribution`](GainBackend::exact_contribution) — the
-    /// [`SparseConfig::strict`](sparse::SparseConfig::strict) mode of pruned
-    /// backends. Irrelevant for exact backends.
-    fn strict_recheck(&self) -> bool {
-        false
-    }
-
-    /// Recomputes the contribution of `(i, port, j)` without pruning. Must
-    /// not underestimate the true contribution; pruned backends may inflate
-    /// by a relative epsilon to stay conservative under floating-point
-    /// divergence from the naive path.
-    fn exact_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-        self.contribution(i, port, j)
-    }
-
     /// Notifies the backend that `item` is about to become live in a dynamic
     /// session. Churn-capable pruned backends patch their live aggregates and
     /// materialised rows here; exact and batch backends (whose stored state
@@ -384,40 +372,13 @@ fn sinr_from_ports(signal: f64, ports: &[f64], noise: f64) -> f64 {
     }
 }
 
-/// The outcome of one SINR check of an insertion attempt (the candidate's,
-/// or one member's).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Check {
-    /// Feasible with the pruning pad.
-    Pass,
-    /// Infeasible with the pad, feasible without it, and the backend asks
-    /// for a [strict recheck](GainBackend::strict_recheck) to settle it.
-    Borderline,
-    /// Infeasible: the insertion is rejected whatever the other checks say.
-    Fail,
-}
-
-/// Classifies one SINR check from the checked item's `padded` and `raw`
-/// (stored-sum) per-port interference. `sinr >= threshold` (not a negated
-/// `<`) so that a NaN SINR counts as infeasible, exactly as in the naive
-/// `is_feasible_with_gain`. Borderline only if the raw verdict accepts: when
-/// even the underestimate rejects, the exact system rejects.
+/// One SINR check of an insertion attempt (the candidate's, or one
+/// member's) from the checked item's `padded` per-port interference.
+/// `sinr >= threshold` (not a negated `<`) so that a NaN SINR counts as
+/// infeasible, exactly as in the naive `is_feasible_with_gain`.
 #[inline]
-fn check(
-    signal: f64,
-    padded: &[f64],
-    raw: &[f64],
-    noise: f64,
-    threshold: f64,
-    strict: bool,
-) -> Check {
-    if sinr_from_ports(signal, padded, noise) >= threshold {
-        Check::Pass
-    } else if strict && sinr_from_ports(signal, raw, noise) >= threshold {
-        Check::Borderline
-    } else {
-        Check::Fail
-    }
+fn check(signal: f64, padded: &[f64], noise: f64, threshold: f64) -> bool {
+    sinr_from_ports(signal, padded, noise) >= threshold
 }
 
 /// Default number of removals after which [`ColorAccumulator`] rebuilds its
@@ -928,10 +889,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// For pruned backends the verdict is *conservative*: the pruning pad is
     /// added to every sum before comparing, so an accept implies the exact
     /// system accepts too, while a borderline reject (rejected with the pad,
-    /// accepted without it) may cost a color — unless the backend requests
-    /// [`strict_recheck`](GainBackend::strict_recheck), in which case
-    /// borderline verdicts are settled by recomputing the class exactly
-    /// (`O(members²)` un-pruned contributions).
+    /// accepted without it) may cost a color.
     ///
     /// The member that last rejected a candidate is asked first, before the
     /// candidate probe (see [the type docs](ColorAccumulator)); its reject
@@ -940,7 +898,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         let (threshold, limit_hi) = self.gain_limits(i, gain);
         if let Some(pos) = self.witness {
             let (j, noise) = (self.members[pos], self.system.noise());
-            if self.member_check(pos, j, i, threshold, noise, self.strict()) == Check::Fail {
+            if !self.member_check(pos, j, i, threshold, noise) {
                 return false;
             }
         }
@@ -1006,19 +964,12 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         (threshold, limit + limit.abs() * 1e-9)
     }
 
-    /// `true` when borderline checks go to the exact recheck: a pruned
-    /// backend that asks for [`strict_recheck`](GainBackend::strict_recheck).
-    fn strict(&self) -> bool {
-        self.system.strict_recheck() && !self.system.is_exact()
-    }
-
     /// The member-side half of an insertion attempt: given the candidate's
     /// probed per-port sums and drop counts, checks the candidate's own SINR
-    /// and every member's updated SINR against `threshold`, settles
-    /// borderline verdicts via the strict recheck when the backend requests
-    /// it, and commits on acceptance. Returns `true` on success; on failure
-    /// the members and sums are left untouched, and a member that rejected
-    /// becomes the witness.
+    /// and every member's updated SINR against `threshold`, and commits on
+    /// acceptance. Returns `true` on success; on failure the members and
+    /// sums are left untouched, and a member that rejected becomes the
+    /// witness.
     fn admit_with_candidate(
         &mut self,
         i: usize,
@@ -1027,35 +978,23 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         cand_drops: [u32; MAX_PORTS],
     ) -> bool {
         let noise = self.system.noise();
-        let strict = self.strict();
         let mut padded = [0.0f64; MAX_PORTS];
         for (port, slot) in padded.iter_mut().enumerate().take(self.ports) {
             *slot = cand[port] + self.pad(i, port, cand_drops[port]);
         }
-        let mut borderline = match check(
+        if !check(
             self.system.signal(i),
             &padded[..self.ports],
-            &cand[..self.ports],
             noise,
             threshold,
-            strict,
         ) {
-            Check::Pass => false,
-            Check::Borderline => true,
-            Check::Fail => return false,
-        };
-        for (pos, &j) in self.members.iter().enumerate() {
-            match self.member_check(pos, j, i, threshold, noise, strict) {
-                Check::Pass => {}
-                Check::Borderline => borderline = true,
-                Check::Fail => {
-                    self.witness = Some(pos);
-                    return false;
-                }
-            }
-        }
-        if borderline && !self.exact_recheck(i, threshold) {
             return false;
+        }
+        for (pos, &j) in self.members.iter().enumerate() {
+            if !self.member_check(pos, j, i, threshold, noise) {
+                self.witness = Some(pos);
+                return false;
+            }
         }
         self.commit(i, cand, cand_drops);
         true
@@ -1066,58 +1005,22 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// pruned class member including `i`. `noise` is the system's, hoisted
     /// out of the member scan.
     #[inline]
-    fn member_check(
-        &self,
-        pos: usize,
-        j: usize,
-        i: usize,
-        threshold: f64,
-        noise: f64,
-        strict: bool,
-    ) -> Check {
-        let mut raw = [0.0f64; MAX_PORTS];
+    fn member_check(&self, pos: usize, j: usize, i: usize, threshold: f64, noise: f64) -> bool {
         let mut padded = [0.0f64; MAX_PORTS];
-        for port in 0..self.ports {
-            let slot = pos * self.ports + port;
+        for (port, slot) in padded.iter_mut().enumerate().take(self.ports) {
+            let idx = pos * self.ports + port;
             let (add, extra) = match self.system.stored_contribution(j, port, i) {
                 Some(v) => (v, 0),
                 None => (0.0, 1),
             };
-            raw[port] = self.sums[slot] + add;
-            padded[port] = raw[port] + self.pad(j, port, self.drops[slot] + extra);
+            *slot = self.sums[idx] + add + self.pad(j, port, self.drops[idx] + extra);
         }
         check(
             self.system.signal(j),
             &padded[..self.ports],
-            &raw[..self.ports],
             noise,
             threshold,
-            strict,
         )
-    }
-
-    /// Settles a borderline verdict by refolding the would-be class
-    /// `members ∪ {i}` through the backend's un-pruned
-    /// [`exact_contribution`](GainBackend::exact_contribution) — the
-    /// [`SparseConfig::strict`](sparse::SparseConfig::strict) escape hatch of
-    /// pruned backends. `O(members²)` contributions.
-    fn exact_recheck(&self, i: usize, threshold: f64) -> bool {
-        let noise = self.system.noise();
-        let feasible_for = |item: usize| -> bool {
-            let mut ports = [0.0f64; MAX_PORTS];
-            for (port, slot) in ports.iter_mut().enumerate().take(self.ports) {
-                for &j in self.members.iter().chain(std::iter::once(&i)) {
-                    if j != item {
-                        *slot += self.system.exact_contribution(item, port, j);
-                    }
-                }
-            }
-            sinr_from_ports(self.system.signal(item), &ports[..self.ports], noise) >= threshold
-        };
-        if !feasible_for(i) {
-            return false;
-        }
-        self.members.iter().all(|&j| feasible_for(j))
     }
 
     /// [`try_insert_with_gain`](ColorAccumulator::try_insert_with_gain) at
@@ -2044,14 +1947,6 @@ mod tests {
 
         fn is_exact(&self) -> bool {
             self.inner.is_exact()
-        }
-
-        fn strict_recheck(&self) -> bool {
-            self.inner.strict_recheck()
-        }
-
-        fn exact_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-            self.inner.exact_contribution(i, port, j)
         }
 
         fn note_arrival(&self, item: usize) {

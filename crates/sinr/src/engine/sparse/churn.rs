@@ -96,14 +96,14 @@ struct LiveState {
     agg: Aggregates,
 }
 
-/// One lazily-materialised row: the stored entries of every port (live
-/// interferers at or above the row's cutoff, sorted by index, in
-/// structure-of-arrays form — parallel column/value vectors per port), the
-/// dropped-mass pads, and the staleness-guard patch counter.
+/// One lazily-materialised row: the stored entries (live interferers at or
+/// above the row's cutoff, sorted by index, in structure-of-arrays form —
+/// parallel column/value vectors), the dropped-mass pads, and the
+/// staleness-guard patch counter.
 #[derive(Debug, Clone)]
 struct ChurnRow {
-    cols: [Vec<u32>; MAX_PORTS],
-    vals: [Vec<f64>; MAX_PORTS],
+    cols: Vec<u32>,
+    vals: Vec<f64>,
     pads: Pads,
     mutations: usize,
 }
@@ -112,48 +112,39 @@ impl ChurnRow {
     /// Splits a freshly built row into the parallel column/value vectors.
     fn from_built(row: BuiltRow) -> Self {
         Self {
-            cols: row
-                .entries
-                .each_ref()
-                .map(|e| e.iter().map(|e| e.j).collect()),
-            vals: row
-                .entries
-                .each_ref()
-                .map(|e| e.iter().map(|e| e.v).collect()),
+            cols: row.entries.iter().map(|e| e.j).collect(),
+            vals: row.entries.iter().map(|e| e.v).collect(),
             pads: row.pads,
             mutations: 0,
         }
     }
 
-    /// The stored value of interferer `j` at `port`, or `None` when the live
-    /// pair is pruned (binary search over the sorted columns).
+    /// The stored value of interferer `j`, or `None` when the live pair is
+    /// pruned (binary search over the sorted columns).
     #[inline]
-    fn get(&self, port: usize, j: u32) -> Option<f64> {
-        self.cols[port]
-            .binary_search(&j)
-            .ok()
-            .map(|k| self.vals[port][k])
+    fn get(&self, j: u32) -> Option<f64> {
+        self.cols.binary_search(&j).ok().map(|k| self.vals[k])
     }
 
-    /// Inserts `(j, v)` at `port`, keeping the columns sorted. Overwrites an
+    /// Inserts `(j, v)`, keeping the columns sorted. Overwrites an
     /// already-stored pair (patch idempotence).
-    fn insert_sorted(&mut self, port: usize, j: u32, v: f64) {
-        match self.cols[port].binary_search(&j) {
-            Ok(p) => self.vals[port][p] = v,
+    fn insert_sorted(&mut self, j: u32, v: f64) {
+        match self.cols.binary_search(&j) {
+            Ok(p) => self.vals[p] = v,
             Err(p) => {
-                self.cols[port].insert(p, j);
-                self.vals[port].insert(p, v);
+                self.cols.insert(p, j);
+                self.vals.insert(p, v);
             }
         }
     }
 
-    /// Removes the stored pair of interferer `j` at `port`, if present.
-    /// Returns `true` when an entry was removed.
-    fn remove_entry(&mut self, port: usize, j: u32) -> bool {
-        match self.cols[port].binary_search(&j) {
+    /// Removes the stored pair of interferer `j`, if present. Returns `true`
+    /// when an entry was removed.
+    fn remove_entry(&mut self, j: u32) -> bool {
+        match self.cols.binary_search(&j) {
             Ok(p) => {
-                self.cols[port].remove(p);
-                self.vals[port].remove(p);
+                self.cols.remove(p);
+                self.vals.remove(p);
                 true
             }
             Err(_) => false,
@@ -201,7 +192,8 @@ impl SparseChurnMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`SparseConfig`];
+    /// Panics if the configuration is invalid (see
+    /// [`SparseConfig::validate`];
     /// [`build_threads`](SparseConfig::build_threads) is ignored — rows are
     /// built lazily, one at a time).
     pub fn new<M: MetricSpace + PlanarMetric>(
@@ -243,11 +235,6 @@ impl SparseChurnMatrix {
         self
     }
 
-    /// Number of ports per item (`1` when folded or directed).
-    pub fn ports(&self) -> usize {
-        self.core.ports
-    }
-
     /// Number of live requests currently holding a materialised CSR row.
     pub fn materialized_rows(&self) -> usize {
         self.store.borrow().materialized.len()
@@ -261,7 +248,7 @@ impl SparseChurnMatrix {
             .rows
             .iter()
             .flatten()
-            .map(|row| row.cols.iter().map(Vec::len).sum::<usize>())
+            .map(|row| row.cols.len())
             .sum()
     }
 
@@ -275,15 +262,8 @@ impl SparseChurnMatrix {
                 .iter()
                 .flatten()
                 .map(|row| {
-                    row.cols
-                        .iter()
-                        .map(|c| c.capacity() * std::mem::size_of::<u32>())
-                        .sum::<usize>()
-                        + row
-                            .vals
-                            .iter()
-                            .map(|v| v.capacity() * std::mem::size_of::<f64>())
-                            .sum::<usize>()
+                    row.cols.capacity() * std::mem::size_of::<u32>()
+                        + row.vals.capacity() * std::mem::size_of::<f64>()
                 })
                 .sum::<usize>();
         let state = self.state.borrow();
@@ -386,27 +366,25 @@ impl SparseChurnMatrix {
     }
 
     /// Patches row `i` for `item`'s arrival (`live == true`) or departure;
-    /// returns `false` when a pad turned non-finite and the row must be
+    /// returns `false` when the pad turned non-finite and the row must be
     /// rebuilt.
     fn patch(&self, row: &mut ChurnRow, i: usize, item: usize, live: bool) -> bool {
-        let cutoff = self.core.cutoff(i);
-        for port in 0..self.core.ports {
-            let v = self.core.inflated(i, port, item);
-            if v >= cutoff {
-                if live {
-                    debug_assert!(row.get(port, item_id(item)).is_none());
-                    row.insert_sorted(port, item_id(item), v);
-                } else {
-                    let removed = row.remove_entry(port, item_id(item));
-                    debug_assert!(removed, "stored pair ({i}, {item}) must exist");
-                }
-            } else if live {
-                row.pads.pad_absorb(port, v);
-            } else if !row.pads.pad_shed(port, v).is_finite() {
-                return false;
+        let v = self.core.inflated(i, item);
+        if v >= self.core.cutoff(i) {
+            if live {
+                debug_assert!(row.get(item_id(item)).is_none());
+                row.insert_sorted(item_id(item), v);
+            } else {
+                let removed = row.remove_entry(item_id(item));
+                debug_assert!(removed, "stored pair ({i}, {item}) must exist");
             }
+            true
+        } else if live {
+            row.pads.pad_absorb(v);
+            true
+        } else {
+            row.pads.pad_shed(v).is_finite()
         }
-        true
     }
 }
 
@@ -425,8 +403,7 @@ impl InterferenceSystem for SparseChurnMatrix {
     /// contract).
     fn sinr(&self, i: usize, others: &[usize]) -> f64 {
         let row = self.row_ref(i);
-        self.core
-            .padded_sinr(i, others, &row.pads, |port, j| row.get(port, j))
+        self.core.padded_sinr(i, others, &row.pads, |j| row.get(j))
     }
 
     fn beta(&self) -> f64 {
@@ -435,8 +412,9 @@ impl InterferenceSystem for SparseChurnMatrix {
 }
 
 impl IncrementalSystem for SparseChurnMatrix {
+    /// One row per request (see the [sparse module docs](super)).
     fn num_ports(&self) -> usize {
-        self.core.ports
+        1
     }
 
     /// The stored contribution, or `0.0` for pruned pairs — the engine adds
@@ -455,68 +433,59 @@ impl IncrementalSystem for SparseChurnMatrix {
 }
 
 impl GainBackend for SparseChurnMatrix {
-    /// The stored live contribution of `j` at `(i, port)` — `None` both for
-    /// pruned live pairs (covered by the dropped-mass pad) and for dead
-    /// interferers (which contribute nothing and are never stored).
-    fn stored_contribution(&self, i: usize, port: usize, j: usize) -> Option<f64> {
+    /// The stored live contribution of `j` to `i` — `None` both for pruned
+    /// live pairs (covered by the dropped-mass pad) and for dead interferers
+    /// (which contribute nothing and are never stored).
+    fn stored_contribution(&self, i: usize, _port: usize, j: usize) -> Option<f64> {
         if j == i {
             return Some(0.0);
         }
-        self.row_ref(i).get(port, item_id(j))
+        self.row_ref(i).get(item_id(j))
     }
 
     /// Candidate folds hold one row borrow for the whole member walk instead
     /// of re-entering `stored_contribution` (ensure + `RefCell` borrow +
-    /// lookup) once per member and port. Same members, same interleaved
-    /// order, same stored values — the sums and verdicts are bit-for-bit
-    /// those of the default hook.
+    /// lookup) once per member. Same members, same order, same stored
+    /// values — the sum and verdict are bit-for-bit those of the default
+    /// hook.
     fn fold_candidate(
         &self,
         i: usize,
-        ports: usize,
+        _ports: usize,
         members: &[usize],
         limit_hi: f64,
         acc: &mut [f64; MAX_PORTS],
         dropped: &mut [u32; MAX_PORTS],
     ) -> bool {
         let row = self.row_ref(i);
+        let (sum, drops) = (&mut acc[0], &mut dropped[0]);
         for &j in members {
-            for (port, slot) in acc.iter_mut().enumerate().take(ports) {
-                let stored = if j == i {
-                    Some(0.0)
-                } else {
-                    row.get(port, item_id(j))
-                };
-                match stored {
-                    Some(v) => *slot += v,
-                    None => dropped[port] += 1,
-                }
-                if *slot > limit_hi {
-                    return false;
-                }
+            let stored = if j == i {
+                Some(0.0)
+            } else {
+                row.get(item_id(j))
+            };
+            match stored {
+                Some(v) => *sum += v,
+                None => *drops += 1,
+            }
+            if *sum > limit_hi {
+                return false;
             }
         }
         true
     }
 
-    fn pruned_cap(&self, i: usize, port: usize) -> f64 {
-        self.row_ref(i).pads.cap[port]
+    fn pruned_cap(&self, i: usize, _port: usize) -> f64 {
+        self.row_ref(i).pads.cap
     }
 
-    fn pruned_mass(&self, i: usize, port: usize) -> f64 {
-        self.row_ref(i).pads.mass[port]
+    fn pruned_mass(&self, i: usize, _port: usize) -> f64 {
+        self.row_ref(i).pads.mass
     }
 
     fn is_exact(&self) -> bool {
         false
-    }
-
-    fn strict_recheck(&self) -> bool {
-        self.core.strict
-    }
-
-    fn exact_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
-        self.core.inflated(i, port, j)
     }
 
     fn note_arrival(&self, item: usize) {
@@ -557,12 +526,12 @@ mod tests {
         Instance::new(EuclideanSpace::from_points(points), requests).unwrap()
     }
 
-    /// Brute-force true dropped mass of row `(i, port)` over the live set:
-    /// the sum of every *un-inflated* live contribution below the cutoff.
-    fn true_pruned_mass(m: &SparseChurnMatrix, live: &[usize], i: usize, port: usize) -> f64 {
+    /// Brute-force true dropped mass of row `i` over the live set: the sum
+    /// of every *un-inflated* live contribution below the cutoff.
+    fn true_pruned_mass(m: &SparseChurnMatrix, live: &[usize], i: usize) -> f64 {
         live.iter()
-            .filter(|&&j| j != i && m.core.inflated(i, port, j) < m.core.cutoff(i))
-            .map(|&j| m.core.raw_contribution(i, port, j))
+            .filter(|&&j| j != i && m.core.inflated(i, j) < m.core.cutoff(i))
+            .map(|&j| m.core.raw_contribution(i, j))
             .sum()
     }
 
@@ -605,27 +574,22 @@ mod tests {
                 }
                 // Materialise every live row, then check storedness.
                 for &i in &live {
-                    for port in 0..m.ports() {
-                        for j in 0..n {
-                            let stored = m.stored_contribution(i, port, j);
-                            if j == i {
-                                assert_eq!(stored, Some(0.0));
-                            } else if live.contains(&j) {
-                                let v = m.core.inflated(i, port, j);
-                                assert_eq!(
-                                    stored.is_some(),
-                                    v >= m.core.cutoff(i),
-                                    "storedness of ({i},{j}) must be the pure pair predicate"
-                                );
-                                if let Some(s) = stored {
-                                    assert_eq!(
-                                        s, v,
-                                        "stored value must be the inflated pair value"
-                                    );
-                                }
-                            } else {
-                                assert_eq!(stored, None, "dead items are never stored");
+                    for j in 0..n {
+                        let stored = m.stored_contribution(i, 0, j);
+                        if j == i {
+                            assert_eq!(stored, Some(0.0));
+                        } else if live.contains(&j) {
+                            let v = m.core.inflated(i, j);
+                            assert_eq!(
+                                stored.is_some(),
+                                v >= m.core.cutoff(i),
+                                "storedness of ({i},{j}) must be the pure pair predicate"
+                            );
+                            if let Some(s) = stored {
+                                assert_eq!(s, v, "stored value must be the inflated pair value");
                             }
+                        } else {
+                            assert_eq!(stored, None, "dead items are never stored");
                         }
                     }
                 }
@@ -640,41 +604,35 @@ mod tests {
         let inst = planar_instance();
         let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
         for variant in Variant::all() {
-            for fold in [false, true] {
-                let view = eval.view(variant);
-                let config = SparseConfig {
-                    cutoff_fraction: 0.05,
-                    fold_ports: fold,
-                    ..SparseConfig::default()
-                };
-                let m = SparseChurnMatrix::new(&view, &config);
-                let n = inst.len();
-                let mut live: Vec<usize> = Vec::new();
-                let events: Vec<(bool, usize)> = (0..40)
-                    .map(|k| {
-                        let item = (k * 7 + 3) % n;
-                        (k % 3 != 2, item)
-                    })
-                    .collect();
-                for (arrive, item) in events {
-                    if arrive && !live.contains(&item) {
-                        m.note_arrival(item);
-                        live.push(item);
-                    } else if !arrive && live.contains(&item) {
-                        m.note_departure(item);
-                        live.retain(|&x| x != item);
-                    }
-                    for &i in &live {
-                        for port in 0..m.ports() {
-                            let tracked = m.pruned_mass(i, port);
-                            let truth = true_pruned_mass(&m, &live, i, port);
-                            assert!(
-                                tracked >= truth,
-                                "pad of ({i},{port}) eroded: tracked {tracked} < true {truth} \
-                                 under {variant} fold={fold}"
-                            );
-                        }
-                    }
+            let view = eval.view(variant);
+            let config = SparseConfig {
+                cutoff_fraction: 0.05,
+                ..SparseConfig::default()
+            };
+            let m = SparseChurnMatrix::new(&view, &config);
+            let n = inst.len();
+            let mut live: Vec<usize> = Vec::new();
+            let events: Vec<(bool, usize)> = (0..40)
+                .map(|k| {
+                    let item = (k * 7 + 3) % n;
+                    (k % 3 != 2, item)
+                })
+                .collect();
+            for (arrive, item) in events {
+                if arrive && !live.contains(&item) {
+                    m.note_arrival(item);
+                    live.push(item);
+                } else if !arrive && live.contains(&item) {
+                    m.note_departure(item);
+                    live.retain(|&x| x != item);
+                }
+                for &i in &live {
+                    let tracked = m.pruned_mass(i, 0);
+                    let truth = true_pruned_mass(&m, &live, i);
+                    assert!(
+                        tracked >= truth,
+                        "pad of row {i} eroded: tracked {tracked} < true {truth} under {variant}"
+                    );
                 }
             }
         }
@@ -700,22 +658,21 @@ mod tests {
         // A far pair: row 0 watches, item 11 (other corner) cycles.
         m.note_arrival(0);
         m.note_arrival(11);
-        let port = 0;
         assert!(
-            m.stored_contribution(0, port, 11).is_none(),
+            m.stored_contribution(0, 0, 11).is_none(),
             "the far pair must actually be pruned for this test to bite"
         );
         let mut last = f64::INFINITY;
         for cycle in 0..200 {
             m.note_departure(11);
-            let alone = m.pruned_mass(0, port);
+            let alone = m.pruned_mass(0, 0);
             assert!(
                 alone >= 0.0,
                 "pad went negative after {cycle} cycles: {alone}"
             );
             m.note_arrival(11);
-            let tracked = m.pruned_mass(0, port);
-            let truth = true_pruned_mass(&m, &[0, 11], 0, port);
+            let tracked = m.pruned_mass(0, 0);
+            let truth = true_pruned_mass(&m, &[0, 11], 0);
             assert!(
                 tracked >= truth,
                 "cycle {cycle}: tracked pad {tracked} dipped below true mass {truth}"
@@ -766,17 +723,15 @@ mod tests {
                     fresh.note_arrival(i);
                 }
                 for &i in &live {
-                    for port in 0..patched.ports() {
-                        assert_eq!(
-                            patched.pruned_mass(i, port).to_bits(),
-                            fresh.pruned_mass(i, port).to_bits(),
-                            "row {i} pad diverged from the pure rebuild under {variant}"
-                        );
-                        assert_eq!(
-                            patched.pruned_cap(i, port).to_bits(),
-                            fresh.pruned_cap(i, port).to_bits()
-                        );
-                    }
+                    assert_eq!(
+                        patched.pruned_mass(i, 0).to_bits(),
+                        fresh.pruned_mass(i, 0).to_bits(),
+                        "row {i} pad diverged from the pure rebuild under {variant}"
+                    );
+                    assert_eq!(
+                        patched.pruned_cap(i, 0).to_bits(),
+                        fresh.pruned_cap(i, 0).to_bits()
+                    );
                 }
             }
         }
@@ -801,11 +756,8 @@ mod tests {
             let default = SparseChurnMatrix::new(&view, &config);
             let never = SparseChurnMatrix::new(&view, &config).with_refresh_interval(usize::MAX);
             let timed = SparseChurnMatrix::new(&view, &config).with_refresh_interval(64);
-            let pads = |m: &SparseChurnMatrix, i: usize, port: usize| {
-                (
-                    m.pruned_mass(i, port).to_bits(),
-                    m.pruned_cap(i, port).to_bits(),
-                )
+            let pads = |m: &SparseChurnMatrix, i: usize| {
+                (m.pruned_mass(i, 0).to_bits(), m.pruned_cap(i, 0).to_bits())
             };
             // Four anchors arrive first and stay, so their rows outlive the
             // 64-patch guard; the other eight toggle in and out.
@@ -822,15 +774,12 @@ mod tests {
                     }
                 }
                 for i in (0..n).filter(|&i| live[i]) {
-                    for port in 0..default.ports() {
-                        assert_eq!(
-                            pads(&default, i, port),
-                            pads(&never, i, port),
-                            "step {step}: row {i} port {port} of the default matrix was \
-                             rebuilt under {variant}"
-                        );
-                        timed_diverged |= pads(&timed, i, port) != pads(&never, i, port);
-                    }
+                    assert_eq!(
+                        pads(&default, i),
+                        pads(&never, i),
+                        "step {step}: row {i} of the default matrix was rebuilt under {variant}"
+                    );
+                    timed_diverged |= pads(&timed, i) != pads(&never, i);
                 }
             }
             assert!(
@@ -870,30 +819,27 @@ mod tests {
         for power in ObliviousPower::standard_assignments() {
             let eval = inst.evaluator(params(), &power);
             for variant in Variant::all() {
-                for fold in [false, true] {
-                    let view = eval.view(variant);
-                    let config = SparseConfig {
-                        cutoff_fraction: 0.05,
-                        fold_ports: fold,
-                        ..SparseConfig::default()
-                    };
-                    let m = SparseChurnMatrix::new(&view, &config);
-                    for i in 0..inst.len() {
-                        m.note_arrival(i);
-                    }
-                    let mut acc = ColorAccumulator::new(&m);
-                    for i in 0..inst.len() {
-                        if acc.try_insert(i) {
-                            assert!(
-                                view.is_feasible(acc.members()),
-                                "churn-backend-accepted class {:?} must be naive-feasible \
-                                 under {variant} fold={fold}",
-                                acc.members()
-                            );
-                        }
-                    }
-                    assert!(!acc.is_empty());
+                let view = eval.view(variant);
+                let config = SparseConfig {
+                    cutoff_fraction: 0.05,
+                    ..SparseConfig::default()
+                };
+                let m = SparseChurnMatrix::new(&view, &config);
+                for i in 0..inst.len() {
+                    m.note_arrival(i);
                 }
+                let mut acc = ColorAccumulator::new(&m);
+                for i in 0..inst.len() {
+                    if acc.try_insert(i) {
+                        assert!(
+                            view.is_feasible(acc.members()),
+                            "churn-backend-accepted class {:?} must be naive-feasible \
+                             under {variant}",
+                            acc.members()
+                        );
+                    }
+                }
+                assert!(!acc.is_empty());
             }
         }
     }

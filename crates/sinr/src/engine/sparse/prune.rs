@@ -24,15 +24,19 @@
 //! patches them as requests arrive and depart.
 
 use super::SparseConfig;
-use crate::engine::{approx_f64, item_id, item_index, sinr_from_ports, SparseEntry, MAX_PORTS};
+use crate::engine::{approx_f64, item_id, item_index, sinr_from_ports, SparseEntry};
 use crate::feasibility::{Variant, VariantView};
 use crate::params::SinrParams;
 use oblisched_metric::{MetricSpace, PlanarMetric};
 
-/// Relative inflation applied to every stored contribution, dropped-mass
-/// bound and exact re-check, so conservativeness survives last-ulp
-/// divergence from the naive evaluator's arithmetic.
+/// Relative inflation applied to every stored contribution and dropped-mass
+/// bound, so conservativeness survives last-ulp divergence from the naive
+/// evaluator's arithmetic.
 const SAFETY: f64 = 1.0 + 1e-12;
+
+/// Target number of grid entries (interfering endpoints) per tile; the tile
+/// side is derived from it and the deployment's density.
+const TILE_OCCUPANCY: f64 = 8.0;
 
 /// Side length of a supertile, in tiles. Far-field pruning first tries to
 /// discard a whole supertile through its aggregate bounds and only descends
@@ -177,7 +181,7 @@ struct SpatialGrid {
 }
 
 impl SpatialGrid {
-    fn build(points: &[GridEntry], occupancy: f64) -> SpatialGrid {
+    fn build(points: &[GridEntry]) -> SpatialGrid {
         let mut bbox = BBox::EMPTY;
         for e in points {
             bbox.merge(&BBox::point(e.pos));
@@ -199,13 +203,13 @@ impl SpatialGrid {
             1.0
         } else {
             let by_area = if area > 0.0 {
-                (occupancy * area / approx_f64(points.len())).sqrt()
+                (TILE_OCCUPANCY * area / approx_f64(points.len())).sqrt()
             } else {
                 0.0
             };
             let extent = width.max(height);
             let by_line = if extent > 0.0 {
-                occupancy * extent / approx_f64(points.len())
+                TILE_OCCUPANCY * extent / approx_f64(points.len())
             } else {
                 1.0
             };
@@ -384,27 +388,27 @@ impl Aggregates {
     }
 }
 
-/// A row's dropped-mass accounting per port: an upper bound on the total
-/// pruned contribution (`mass`) and on any single one (`cap`).
+/// A row's dropped-mass accounting: an upper bound on the total pruned
+/// contribution (`mass`) and on any single one (`cap`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(super) struct Pads {
-    pub(super) mass: [f64; MAX_PORTS],
-    pub(super) cap: [f64; MAX_PORTS],
+    pub(super) mass: f64,
+    pub(super) cap: f64,
 }
 
 impl Pads {
     /// The sanctioned per-entry pad update: folds one already
-    /// SAFETY-inflated pruned contribution into the port's dropped-mass pad
-    /// and cap. Every pad write outside the tile-aggregate bounds must route
+    /// SAFETY-inflated pruned contribution into the dropped-mass pad and
+    /// cap. Every pad write outside the tile-aggregate bounds must route
     /// through here or [`pad_shed`](Pads::pad_shed) (`oblint`'s
     /// missing-safety-inflation rule), so the inflation discipline lives in
     /// one place.
     #[inline]
-    pub(super) fn pad_absorb(&mut self, port: usize, inflated: f64) {
+    pub(super) fn pad_absorb(&mut self, inflated: f64) {
         // oblint::allow(missing-safety-inflation): `inflated` is SAFETY-inflated by every caller — this helper IS the sanctioned pad entry point.
-        self.mass[port] += inflated;
+        self.mass += inflated;
         // oblint::allow(missing-safety-inflation): same contract as the mass update above.
-        self.cap[port] = self.cap[port].max(inflated);
+        self.cap = self.cap.max(inflated);
     }
 
     /// The sanctioned pad subtraction — the corrected departure bound of the
@@ -415,16 +419,16 @@ impl Pads {
     /// callers can rebuild the row when the arithmetic degenerates to a
     /// non-finite value.
     #[inline]
-    pub(super) fn pad_shed(&mut self, port: usize, inflated: f64) -> f64 {
-        self.mass[port] = (self.mass[port] - inflated / (SAFETY * SAFETY)).max(0.0) * SAFETY;
-        self.mass[port]
+    pub(super) fn pad_shed(&mut self, inflated: f64) -> f64 {
+        self.mass = (self.mass - inflated / (SAFETY * SAFETY)).max(0.0) * SAFETY;
+        self.mass
     }
 }
 
-/// One freshly built row: the stored entries of every port, sorted by
-/// interferer, and the row's pads.
+/// One freshly built row: the stored entries, sorted by interferer, and the
+/// row's pads.
 pub(super) struct BuiltRow {
-    pub(super) entries: [Vec<SparseEntry>; MAX_PORTS],
+    pub(super) entries: Vec<SparseEntry>,
     pub(super) pads: Pads,
 }
 
@@ -461,20 +465,14 @@ impl Scratch {
 }
 
 /// The per-universe geometry of a sparse tier: parameters, per-item signals,
-/// powers and endpoint positions (copied in, so strict re-checks need no
-/// view), and the static grid over interfering endpoints.
+/// powers and endpoint positions (copied in, so the churn tier can patch rows
+/// without a view), and the static grid over interfering endpoints.
 #[derive(Debug, Clone)]
 pub(super) struct SparseCore {
     pub(super) n: usize,
-    /// Ports per row: 1 when directed or folded, 2 otherwise.
-    pub(super) ports: usize,
     variant: Variant,
-    /// Whether the bidirectional ports share one row (see
-    /// [`SparseConfig::fold_ports`]).
-    folded: bool,
     pub(super) params: SinrParams,
     fast: FastLoss,
-    pub(super) strict: bool,
     cutoff_fraction: f64,
     pub(super) signals: Vec<f64>,
     powers: Vec<f64>,
@@ -489,31 +487,25 @@ impl SparseCore {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see [`SparseConfig`]).
+    /// Panics if the configuration is invalid (see
+    /// [`SparseConfig::validate`]).
     pub(super) fn new<M: MetricSpace + PlanarMetric>(
         view: &VariantView<'_, '_, M>,
         config: &SparseConfig,
     ) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let eval = view.evaluator();
         let instance = eval.instance();
         let metric = instance.metric();
         let n = instance.len();
-        let variant = view.variant();
-        let folded = config.fold_ports && variant == Variant::Bidirectional;
         let params = eval.params();
         let mut core = SparseCore {
             n,
-            ports: if variant == Variant::Bidirectional && !folded {
-                2
-            } else {
-                1
-            },
-            variant,
-            folded,
+            variant: view.variant(),
             params,
             fast: FastLoss::for_alpha(params.alpha()),
-            strict: config.strict,
             cutoff_fraction: config.cutoff_fraction,
             signals: (0..n).map(|i| eval.signal(i)).collect(),
             powers: eval.powers().to_vec(),
@@ -537,7 +529,7 @@ impl SparseCore {
                 });
             }
         }
-        core.grid = SpatialGrid::build(&points, config.tile_occupancy);
+        core.grid = SpatialGrid::build(&points);
         core
     }
 
@@ -554,7 +546,7 @@ impl SparseCore {
 
     /// Where interference arrives at item `i` — the receiver in the directed
     /// variant, both endpoints in the bidirectional one — used by the grid
-    /// traversal's pruning decisions. Independent of port folding.
+    /// traversal's pruning decisions.
     fn traversal_anchors(&self, i: usize) -> ([[f64; 2]; 2], usize) {
         match self.variant {
             Variant::Directed => ([self.receivers[i], self.receivers[i]], 1),
@@ -568,16 +560,16 @@ impl SparseCore {
         self.cutoff_fraction * self.signals[i] / self.params.beta()
     }
 
-    /// The un-pruned contribution of `j` at `port` of `i`, recomputed from
-    /// the copied positions with the same arithmetic as the naive evaluator
-    /// (Euclidean distance, loss of the closer endpoint in the
-    /// bidirectional variant; the worse port when the rows are folded).
-    pub(super) fn raw_contribution(&self, i: usize, port: usize, j: usize) -> f64 {
+    /// The un-pruned contribution of `j` to `i`'s row, recomputed from the
+    /// copied positions with the same arithmetic as the naive evaluator
+    /// (Euclidean distance; in the bidirectional variant the worse of `i`'s
+    /// two ports, each hearing the closer endpoint of `j`).
+    pub(super) fn raw_contribution(&self, i: usize, j: usize) -> f64 {
         if j == i {
             return 0.0;
         }
         // `d^α` is monotone, so the bidirectional min-of-losses equals the
-        // loss of the closer endpoint, and the folded max-of-ports equals
+        // loss of the closer endpoint, and the max over `i`'s ports equals
         // the loss at the closest (endpoint, anchor) pair.
         let d_sq = match self.variant {
             Variant::Directed => distance_sq(self.senders[j], self.receivers[i]),
@@ -585,30 +577,24 @@ impl SparseCore {
                 let to = |w: [f64; 2]| {
                     distance_sq(self.senders[j], w).min(distance_sq(self.receivers[j], w))
                 };
-                if self.folded {
-                    to(self.senders[i]).min(to(self.receivers[i]))
-                } else if port == 0 {
-                    to(self.senders[i])
-                } else {
-                    to(self.receivers[i])
-                }
+                to(self.senders[i]).min(to(self.receivers[i]))
             }
         };
         self.fast.strength_sq(self.powers[j], d_sq)
     }
 
-    /// The SAFETY-inflated contribution of `j` at `port` of `i`: the value a
-    /// stored entry holds, a pad absorbs, and a strict re-check sums.
-    pub(super) fn inflated(&self, i: usize, port: usize, j: usize) -> f64 {
-        SAFETY * self.raw_contribution(i, port, j)
+    /// The SAFETY-inflated contribution of `j` to `i`'s row: the value a
+    /// stored entry holds and a pad absorbs.
+    pub(super) fn inflated(&self, i: usize, j: usize) -> f64 {
+        SAFETY * self.raw_contribution(i, j)
     }
 
-    /// Builds row `i` — every port at once — from scratch: the supertile →
-    /// tile → entry traversal of the grid, pruning whole (super)tiles whose
-    /// aggregate bound in `agg` stays below the cutoff, and visiting only
-    /// interferers `live` accepts. A pruned (super)tile bounds every member
-    /// it aggregates, so no stored-worthy live pair can hide in one:
-    /// storedness is the pure pair predicate `inflated ≥ cutoff`.
+    /// Builds row `i` from scratch: the supertile → tile → entry traversal
+    /// of the grid, pruning whole (super)tiles whose aggregate bound in `agg`
+    /// stays below the cutoff, and visiting only interferers `live` accepts.
+    /// A pruned (super)tile bounds every member it aggregates, so no
+    /// stored-worthy live pair can hide in one: storedness is the pure pair
+    /// predicate `inflated ≥ cutoff`.
     pub(super) fn build_row(
         &self,
         agg: &Aggregates,
@@ -618,39 +604,30 @@ impl SparseCore {
     ) -> BuiltRow {
         let epoch = scratch.next_epoch();
         let mut row = BuiltRow {
-            entries: [Vec::new(), Vec::new()],
+            entries: Vec::new(),
             pads: Pads::default(),
         };
         let cutoff = self.cutoff(i);
-        // One traversal covers every port of the item: the pruning decision
-        // uses the closest anchor (conservative for all ports), and visited
-        // entries are evaluated for each port at once.
+        // Pruning bounds a (super)tile through the anchor closest to it,
+        // which bounds every port of the row at once.
         let (anchors, num_anchors) = self.traversal_anchors(i);
-        // Adds a (super)tile's aggregate bound to the per-port pads; returns
-        // false when the tile is too close (or too strong) to prune and must
-        // be descended into.
+        // Adds a (super)tile's aggregate bound to the pads; returns false
+        // when the tile is too close (or too strong) to prune and must be
+        // descended into.
         let prune = |pads: &mut Pads, bound: &Aggregate| -> bool {
-            let mut d_sq = [0.0f64; MAX_PORTS];
-            let mut d_min = f64::INFINITY;
-            for (a, slot) in d_sq.iter_mut().enumerate().take(num_anchors) {
-                *slot = bound.bbox.distance_sq_from(anchors[a]);
-                d_min = d_min.min(*slot);
-            }
+            let d_min = anchors[..num_anchors]
+                .iter()
+                .map(|&a| bound.bbox.distance_sq_from(a))
+                .fold(f64::INFINITY, f64::min);
             if d_min <= 0.0 {
                 return false;
             }
-            let worst = SAFETY * self.fast.strength_sq(bound.power_max, d_min);
-            if worst >= cutoff {
+            let strongest = self.fast.strength_sq(bound.power_max, d_min);
+            if SAFETY * strongest >= cutoff {
                 return false;
             }
-            // Folded rows bound both true ports at once through the closest
-            // anchor; per-port rows use their own anchor's distance.
-            for (port, &anchor_d) in d_sq.iter().enumerate().take(self.ports) {
-                let d = if self.folded { d_min } else { anchor_d };
-                pads.mass[port] += SAFETY * self.fast.strength_sq(bound.power_sum, d);
-                pads.cap[port] =
-                    pads.cap[port].max(SAFETY * self.fast.strength_sq(bound.power_max, d));
-            }
+            pads.mass += SAFETY * self.fast.strength_sq(bound.power_sum, d_min);
+            pads.cap = pads.cap.max(SAFETY * strongest);
             true
         };
         for (s, sup) in agg.supers.iter().enumerate() {
@@ -668,53 +645,45 @@ impl SparseCore {
                         continue;
                     }
                     scratch.seen[j] = epoch;
-                    for (port, entries) in row.entries.iter_mut().enumerate().take(self.ports) {
-                        let v = self.inflated(i, port, j);
-                        if v >= cutoff {
-                            entries.push(SparseEntry { j: e.item, v });
-                        } else {
-                            row.pads.pad_absorb(port, v);
-                        }
+                    let v = self.inflated(i, j);
+                    if v >= cutoff {
+                        row.entries.push(SparseEntry { j: e.item, v });
+                    } else {
+                        row.pads.pad_absorb(v);
                     }
                 }
             }
         }
-        for entries in row.entries.iter_mut().take(self.ports) {
-            entries.sort_unstable_by_key(|e| e.j);
-        }
+        row.entries.sort_unstable_by_key(|e| e.j);
         row
     }
 
     /// The conservative SINR of `i` against `others` on one row: the stored
-    /// contributions `stored(port, j)` returns, plus — on every port where
-    /// some member was pruned — `min(mass, pruned members · cap)` from
-    /// `pads`. Never above the exact SINR.
+    /// contributions `stored(j)` returns, plus — when some member was pruned
+    /// — `min(mass, pruned members · cap)` from `pads`. Never above the
+    /// exact SINR.
     pub(super) fn padded_sinr(
         &self,
         i: usize,
         others: &[usize],
         pads: &Pads,
-        stored: impl Fn(usize, u32) -> Option<f64>,
+        stored: impl Fn(u32) -> Option<f64>,
     ) -> f64 {
-        let mut sums = [0.0f64; MAX_PORTS];
-        let mut dropped = [0u32; MAX_PORTS];
+        let mut sum = 0.0f64;
+        let mut dropped = 0u32;
         for &j in others {
             if j == i {
                 continue;
             }
-            for (port, slot) in sums.iter_mut().enumerate().take(self.ports) {
-                match stored(port, item_id(j)) {
-                    Some(v) => *slot += v,
-                    None => dropped[port] += 1,
-                }
+            match stored(item_id(j)) {
+                Some(v) => sum += v,
+                None => dropped += 1,
             }
         }
-        for (port, slot) in sums.iter_mut().enumerate().take(self.ports) {
-            if dropped[port] > 0 {
-                *slot += pads.mass[port].min(f64::from(dropped[port]) * pads.cap[port]);
-            }
+        if dropped > 0 {
+            sum += pads.mass.min(f64::from(dropped) * pads.cap);
         }
-        sinr_from_ports(self.signals[i], &sums[..self.ports], self.params.noise())
+        sinr_from_ports(self.signals[i], &[sum], self.params.noise())
     }
 
     /// Heap footprint in bytes of the per-item geometry and the grid.

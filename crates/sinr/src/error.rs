@@ -6,8 +6,9 @@ use std::fmt;
 /// schedules.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SinrError {
-    /// The path-loss exponent, gain or noise value is outside its legal
-    /// range.
+    /// A model or engine parameter is outside its legal range: the
+    /// path-loss exponent, gain or noise value, or the sparse tiers' cutoff
+    /// fraction ([`SparseConfig::validate`](crate::SparseConfig::validate)).
     InvalidParams {
         /// Human-readable description of the violated constraint.
         reason: String,

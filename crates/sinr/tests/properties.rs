@@ -425,14 +425,13 @@ proptest! {
     /// The sparse tier's load-bearing guarantee: whatever the pruned
     /// backend accepts — one-shot feasibility verdicts as well as whole
     /// first-fit color classes built through the accumulator — the naive
-    /// evaluator accepts too, for every standard assignment, both variants,
-    /// folded and per-port rows, across random cutoffs.
+    /// evaluator accepts too, for every standard assignment, both variants
+    /// and random cutoffs.
     #[test]
     fn sparse_verdicts_are_conservative_wrt_naive(
         instance in arb_instance(10, 60.0, 5.0),
         params in arb_params(),
         cutoff in 0.0f64..0.3,
-        fold in any::<bool>(),
     ) {
         for power in ObliviousPower::standard_assignments() {
             let eval = instance.evaluator(params, &power);
@@ -440,7 +439,6 @@ proptest! {
                 let view = eval.view(variant);
                 let config = SparseConfig {
                     cutoff_fraction: cutoff,
-                    fold_ports: fold,
                     ..SparseConfig::default()
                 };
                 let sparse = SparseGainMatrix::build(&view, &config);
@@ -460,7 +458,7 @@ proptest! {
                         prop_assert!(
                             view.is_feasible(class.members()),
                             "sparse-accepted class {:?} rejected by naive ({} / {variant}, \
-                             cutoff {cutoff}, fold {fold})",
+                             cutoff {cutoff})",
                             class.members(), power.name()
                         );
                     }
@@ -473,38 +471,6 @@ proptest! {
                             view.is_feasible(&all[..k]),
                             "sparse accepted {:?} but naive rejects ({} / {variant})",
                             &all[..k], power.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Strict mode settles borderline verdicts through un-pruned
-    /// contributions; the result must remain conservative.
-    #[test]
-    fn strict_sparse_remains_conservative(
-        instance in arb_instance(8, 40.0, 4.0),
-        params in arb_params(),
-        cutoff in 0.05f64..0.5,
-    ) {
-        for power in ObliviousPower::standard_assignments() {
-            let eval = instance.evaluator(params, &power);
-            for variant in Variant::all() {
-                let view = eval.view(variant);
-                let config = SparseConfig {
-                    cutoff_fraction: cutoff,
-                    strict: true,
-                    ..SparseConfig::default()
-                };
-                let sparse = SparseGainMatrix::build(&view, &config);
-                let mut class = ColorAccumulator::new(&sparse);
-                for i in 0..instance.len() {
-                    if class.try_insert(i) && class.len() >= 2 {
-                        prop_assert!(
-                            view.is_feasible(class.members()),
-                            "strict-accepted class {:?} rejected by naive ({} / {variant})",
-                            class.members(), power.name()
                         );
                     }
                 }

@@ -46,8 +46,7 @@ fn every_strategy_assignment_combination_round_trips() {
                         matrix_budget: Some(1 << 20),
                         sparse: Some(SparseConfig {
                             cutoff_fraction: 2e-3,
-                            strict: true,
-                            ..SparseConfig::default()
+                            build_threads: 2,
                         }),
                     };
                     let json = serde_json::to_string(&request).unwrap();
@@ -71,6 +70,26 @@ fn optional_request_fields_round_trip_as_null_and_may_be_absent() {
     let terse = r#"{"strategy":"FirstFit","assignment":"SquareRoot","variant":"Bidirectional","seed":0,"backend":"Auto"}"#;
     let back: SolveRequest = serde_json::from_str(terse).unwrap();
     assert_eq!(back, request);
+
+    // A sparse profile is its two fields; older clients may still send the
+    // removed `tile_occupancy`, `strict` and `fold_ports`, which parse and
+    // are ignored.
+    let profile = SparseConfig {
+        cutoff_fraction: 2e-3,
+        build_threads: 2,
+    };
+    let sparse = |fields: &str| {
+        format!(
+            r#"{{"strategy":"FirstFit","assignment":"SquareRoot","variant":"Bidirectional","seed":0,"backend":"Auto","sparse":{{{fields}}}}}"#
+        )
+    };
+    for fields in [
+        r#""cutoff_fraction":0.002,"build_threads":2"#,
+        r#""cutoff_fraction":0.002,"tile_occupancy":8.0,"strict":true,"fold_ports":false,"build_threads":2"#,
+    ] {
+        let back: SolveRequest = serde_json::from_str(&sparse(fields)).unwrap();
+        assert_eq!(back, request.with_sparse_config(profile), "{fields}");
+    }
 }
 
 #[test]

@@ -80,23 +80,20 @@ fn assert_tiers_agree(view: &VariantView<'_, '_, EuclideanSpace<2>>, config: &Sp
     for i in 0..view.len() {
         churn.note_arrival(i);
     }
-    assert_eq!(churn.ports(), sparse.ports());
     for i in 0..view.len() {
-        for port in 0..sparse.ports() {
-            let at = format!("row ({i}, {port}) under {config:?}");
-            for (j, v) in sparse.row(i, port).iter() {
-                let stored = churn.stored_contribution(i, port, j as usize);
-                assert_eq!(
-                    stored.map(f64::to_bits),
-                    Some(v.to_bits()),
-                    "{at}, column {j}"
-                );
-            }
-            let mass = (churn.pruned_mass(i, port), sparse.pruned_mass(i, port));
-            assert_eq!(mass.0.to_bits(), mass.1.to_bits(), "pruned mass of {at}");
-            let cap = (churn.pruned_cap(i, port), sparse.pruned_cap(i, port));
-            assert_eq!(cap.0.to_bits(), cap.1.to_bits(), "pruned cap of {at}");
+        let at = format!("row {i} under {config:?}");
+        for (j, v) in sparse.row(i).iter() {
+            let stored = churn.stored_contribution(i, 0, j as usize);
+            assert_eq!(
+                stored.map(f64::to_bits),
+                Some(v.to_bits()),
+                "{at}, column {j}"
+            );
         }
+        let mass = (churn.pruned_mass(i, 0), sparse.pruned_mass(i, 0));
+        assert_eq!(mass.0.to_bits(), mass.1.to_bits(), "pruned mass of {at}");
+        let cap = (churn.pruned_cap(i, 0), sparse.pruned_cap(i, 0));
+        assert_eq!(cap.0.to_bits(), cap.1.to_bits(), "pruned cap of {at}");
     }
     assert_eq!(churn.stored_entries(), sparse.stored_entries());
 }
@@ -111,15 +108,12 @@ fn batched_first_fit_matches_sequential_across_assignments_variants_backends() {
         let eval = instance.evaluator(params(), &power);
         for variant in Variant::all() {
             let view = eval.view(variant);
-            for fold_ports in [true, false] {
-                for cutoff_fraction in [1e-3, 0.05] {
-                    let config = SparseConfig {
-                        cutoff_fraction,
-                        fold_ports,
-                        ..SparseConfig::default()
-                    };
-                    assert_tiers_agree(&view, &config);
-                }
+            for cutoff_fraction in [1e-3, 0.05] {
+                let config = SparseConfig {
+                    cutoff_fraction,
+                    ..SparseConfig::default()
+                };
+                assert_tiers_agree(&view, &config);
             }
             let matrix = GainMatrix::build(&view);
             let sparse = SparseGainMatrix::build(&view, &SparseConfig::default());

@@ -41,72 +41,68 @@ proptest! {
             let eval = instance.evaluator(params, &power);
             for variant in Variant::all() {
                 let view = eval.view(variant);
-                for fold_ports in [true, false] {
-                    // A coarse cutoff so pruning genuinely happens at this
-                    // scale — the pads, not just the stored entries, decide
-                    // verdicts.
-                    let config = SparseConfig {
-                        cutoff_fraction: 0.05,
-                        fold_ports,
-                        ..SparseConfig::default()
-                    };
-                    let matrix =
-                        SparseChurnMatrix::new(&view, &config).with_refresh_interval(interval);
-                    let mut sched = DynamicScheduler::new(&matrix);
-                    let mut ids: Vec<Option<RequestId>> = vec![None; n];
-                    let mut live: Vec<usize> = Vec::new();
-                    let mut dead: Vec<usize> = (0..n).collect();
-                    for &(kind, pick) in &ops {
-                        let pick = pick as usize;
-                        match kind {
-                            0 => {
-                                if dead.is_empty() {
-                                    continue;
-                                }
-                                let item = dead.swap_remove(pick % dead.len());
-                                ids[item] = Some(sched.insert(item).unwrap());
-                                live.push(item);
+                // A coarse cutoff so pruning genuinely happens at this
+                // scale — the pads, not just the stored entries, decide
+                // verdicts.
+                let config = SparseConfig {
+                    cutoff_fraction: 0.05,
+                    ..SparseConfig::default()
+                };
+                let matrix =
+                    SparseChurnMatrix::new(&view, &config).with_refresh_interval(interval);
+                let mut sched = DynamicScheduler::new(&matrix);
+                let mut ids: Vec<Option<RequestId>> = vec![None; n];
+                let mut live: Vec<usize> = Vec::new();
+                let mut dead: Vec<usize> = (0..n).collect();
+                for &(kind, pick) in &ops {
+                    let pick = pick as usize;
+                    match kind {
+                        0 => {
+                            if dead.is_empty() {
+                                continue;
                             }
-                            1 => {
-                                if live.is_empty() {
-                                    continue;
-                                }
-                                let item = live.swap_remove(pick % live.len());
-                                let id = ids[item].take().unwrap();
-                                sched.remove(id).unwrap();
-                                dead.push(item);
-                            }
-                            _ => {
-                                // Query op: a raw SINR estimate over the live
-                                // set must never exceed the naive value —
-                                // the backend may only under-promise.
-                                if live.is_empty() {
-                                    continue;
-                                }
-                                let item = live[pick % live.len()];
-                                let estimate = matrix.sinr(item, &live);
-                                let truth = view.sinr(item, &live);
-                                prop_assert!(
-                                    estimate <= truth * (1.0 + 1e-9),
-                                    "sparse estimate {estimate} exceeds naive {truth} \
-                                     (item {item}, {variant:?}, fold={fold_ports}, \
-                                     interval={interval})"
-                                );
-                            }
+                            let item = dead.swap_remove(pick % dead.len());
+                            ids[item] = Some(sched.insert(item).unwrap());
+                            live.push(item);
                         }
-                        // Every intermediate state must certify against the
-                        // naive evaluator: the sparse-backed scheduler never
-                        // holds a placement the ground truth rejects.
-                        let certified = sched.validate_against(&view);
-                        prop_assert!(
-                            certified.is_ok(),
-                            "non-conservative accept at an intermediate state: {certified:?} \
-                             ({variant:?}, fold={fold_ports}, interval={interval})"
-                        );
+                        1 => {
+                            if live.is_empty() {
+                                continue;
+                            }
+                            let item = live.swap_remove(pick % live.len());
+                            let id = ids[item].take().unwrap();
+                            sched.remove(id).unwrap();
+                            dead.push(item);
+                        }
+                        _ => {
+                            // Query op: a raw SINR estimate over the live
+                            // set must never exceed the naive value —
+                            // the backend may only under-promise.
+                            if live.is_empty() {
+                                continue;
+                            }
+                            let item = live[pick % live.len()];
+                            let estimate = matrix.sinr(item, &live);
+                            let truth = view.sinr(item, &live);
+                            prop_assert!(
+                                estimate <= truth * (1.0 + 1e-9),
+                                "sparse estimate {estimate} exceeds naive {truth} \
+                                 (item {item}, {variant:?}, interval={interval})"
+                            );
+                        }
                     }
-                    // Structural consistency and drift of the final state.
-                    sched.validate().unwrap();
+                    // Every intermediate state must certify against the
+                    // naive evaluator: the sparse-backed scheduler never
+                    // holds a placement the ground truth rejects.
+                    let certified = sched.validate_against(&view);
+                    prop_assert!(
+                        certified.is_ok(),
+                        "non-conservative accept at an intermediate state: {certified:?} \
+                         ({variant:?}, interval={interval})"
+                    );
                 }
+                // Structural consistency and drift of the final state.
+                sched.validate().unwrap();
             }
         }
     }
