@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
+# The end-to-end benchmark is a workspace of its own that links the
+# library crates by path, so a public-API change breaks it without touching
+# the root build. Build it here, reusing the root target directory.
+CARGO_TARGET_DIR="$PWD/target" cargo build -q --release --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q --workspace

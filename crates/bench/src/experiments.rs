@@ -803,7 +803,7 @@ pub fn e11_backend_tiers() -> Table {
     use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
     use oblisched::{parallel_first_fit, tile_shards};
     use oblisched_instances::scaling_uniform_10k;
-    use oblisched_sinr::{GainMatrix, IncrementalSystem, Schedule, SparseConfig, SparseGainMatrix};
+    use oblisched_sinr::{GainBackend, GainMatrix, Schedule, SparseConfig, SparseGainMatrix};
 
     let p = params();
     let mut table = Table::new(

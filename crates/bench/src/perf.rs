@@ -224,7 +224,8 @@ fn sparse_batch_case(n: usize, repeats: usize) -> PerfCase {
 }
 
 /// `parallel_sparse_n{n}`: the parallel tier end to end — sparse build
-/// (tier profile, 8 build threads) plus tile-sharded parallel first-fit.
+/// (tier profile, one build thread per available core) plus tile-sharded
+/// parallel first-fit.
 fn parallel_sparse_case(n: usize, repeats: usize) -> PerfCase {
     let p = params();
     let instance = scaling_uniform(n, TIER_SEED);

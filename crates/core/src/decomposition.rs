@@ -23,7 +23,7 @@
 //! what experiment E4 measures. The per-round certification and greedy
 //! maximisation steps run on the incremental interference engine (the
 //! node-loss evaluator implements
-//! [`oblisched_sinr::IncrementalSystem`]), keeping rounds `O(set)` per
+//! [`oblisched_sinr::GainBackend`]), keeping rounds `O(set)` per
 //! admission test.
 
 use crate::star_analysis::star_sqrt_subset;

@@ -29,7 +29,7 @@
 //!
 //! External [`RequestId`]s are stable (monotonically assigned, never reused)
 //! and map to the dense item indices of the underlying
-//! [`IncrementalSystem`](oblisched_sinr::IncrementalSystem); the same
+//! [`GainBackend`]; the same
 //! engine item may be live at most once.
 //!
 //! # Example
@@ -122,6 +122,30 @@ impl Default for DynamicConfig {
             recolor_budget: 8,
             rebuild_interval: DEFAULT_REBUILD_INTERVAL,
             drift_tolerance: 1e-6,
+        }
+    }
+}
+
+impl DynamicConfig {
+    /// Checks the configuration: the rules [`DynamicScheduler::with_config`]
+    /// enforces by panicking, for callers that take a configuration as data
+    /// and must refuse a bad one with an error instead.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated rule when `rebuild_interval` is
+    /// zero or `drift_tolerance` is not positive (NaN included).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.rebuild_interval < 1 {
+            return Err("the rebuild interval must be at least 1".to_owned());
+        }
+        if self.drift_tolerance > 0.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "the drift tolerance must be positive, got {}",
+                self.drift_tolerance
+            ))
         }
     }
 }
@@ -317,17 +341,12 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.rebuild_interval` is zero or
-    /// `config.drift_tolerance` is not positive.
+    /// Panics if `config` fails [`DynamicConfig::validate`]: a zero
+    /// `rebuild_interval` or a `drift_tolerance` that is not positive.
     pub fn with_config(system: &'s S, config: DynamicConfig) -> Self {
-        assert!(
-            config.rebuild_interval >= 1,
-            "the rebuild interval must be at least 1"
-        );
-        assert!(
-            config.drift_tolerance > 0.0,
-            "the drift tolerance must be positive"
-        );
+        if let Err(reason) = config.validate() {
+            panic!("{reason}");
+        }
         Self {
             system,
             config,

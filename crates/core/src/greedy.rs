@@ -59,7 +59,7 @@ impl FirstFitScratch {
 /// drive.
 ///
 /// Per item the driver gathers one [`ProbeBatch`] (a single walk over the
-/// item's stored row per port, bucketed by current color) and feeds it to
+/// item's stored row, bucketed by current color) and feeds it to
 /// every open class via
 /// [`ColorAccumulator::try_insert_with_gain_batched`], which replaces the
 /// `O(classes · row)` sequential row re-walks with `O(row + classes)` work

@@ -111,22 +111,3 @@ pub use star_analysis::{decay_classes, star_sqrt_subset, StarNodeKind};
 pub use oblisched_lp as lp;
 pub use oblisched_metric as metric;
 pub use oblisched_sinr as sinr;
-
-use oblisched_sinr::InterferenceSystem;
-
-/// Convenience: validates that a schedule produced by any algorithm in this
-/// crate is feasible for the given interference system, panicking with a
-/// descriptive message otherwise. Used by tests and the experiment harness.
-///
-/// # Panics
-///
-/// Panics if the schedule is not feasible.
-pub fn assert_schedule_feasible<S: InterferenceSystem>(
-    system: &S,
-    schedule: &oblisched_sinr::Schedule,
-    context: &str,
-) {
-    if let Err(e) = schedule.validate_against(system) {
-        panic!("schedule produced by {context} is infeasible: {e}");
-    }
-}

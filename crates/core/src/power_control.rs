@@ -66,7 +66,7 @@ pub fn feasible_powers<M: MetricSpace>(
     // arithmetic is unchanged.
     let geometry = instance.evaluator(*params, &oblisched_sinr::ObliviousPower::Uniform);
     let view = geometry.view(variant);
-    let ports = oblisched_sinr::IncrementalSystem::num_ports(&view);
+    let ports = oblisched_sinr::GainBackend::num_ports(&view);
     let link_losses: Vec<f64> = set.iter().map(|&i| geometry.loss(i)).collect();
     // Flat row-major: entry ((a * ports) + port) * m + b is the effective
     // loss of member b's signal at port `port` of member a.

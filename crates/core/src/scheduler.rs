@@ -20,9 +20,8 @@ use oblisched_metric::{MetricSpace, PlanarMetric};
 use oblisched_sinr::engine::{RowRef, MAX_PORTS};
 use oblisched_sinr::feasibility::VariantView;
 use oblisched_sinr::{
-    Evaluator, GainBackend, GainMatrix, IncrementalSystem, Instance, InterferenceSystem,
-    ObliviousPower, Schedule, SinrError, SinrParams, SparseChurnMatrix, SparseConfig,
-    SparseGainMatrix, Variant,
+    Evaluator, GainBackend, GainMatrix, Instance, InterferenceSystem, ObliviousPower, Schedule,
+    SinrError, SinrParams, SparseChurnMatrix, SparseConfig, SparseGainMatrix, Variant,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -151,7 +150,7 @@ enum SelectedBackend<'v, 'e, 'a, M> {
 /// Dynamic and durable schedulers are generic over [`GainBackend`], so this
 /// enum exists purely to let callers hold whichever tier the facade picked
 /// in one variable and hand out `&backend` without matching on the tier
-/// themselves: every engine trait is forwarded verbatim to the chosen
+/// themselves: every engine method is forwarded verbatim to the chosen
 /// backend, including the churn hooks
 /// ([`note_arrival`](GainBackend::note_arrival) /
 /// [`note_departure`](GainBackend::note_departure)) that keep the sparse
@@ -196,7 +195,9 @@ impl<M: MetricSpace> InterferenceSystem for SessionBackend<'_, '_, '_, M> {
     }
 }
 
-impl<M: MetricSpace> IncrementalSystem for SessionBackend<'_, '_, '_, M> {
+// Every method is forwarded (none left at the trait default), so each
+// tier's own layout-aware fold, pads and churn hooks keep serving sessions.
+impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
     fn num_ports(&self) -> usize {
         self.tier().num_ports()
     }
@@ -212,17 +213,13 @@ impl<M: MetricSpace> IncrementalSystem for SessionBackend<'_, '_, '_, M> {
     fn noise(&self) -> f64 {
         self.tier().noise()
     }
-}
 
-// Every hook is forwarded (none left at the trait default), so each tier's
-// own layout-aware fold, pads and churn hooks keep serving sessions.
-impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
     fn stored_contribution(&self, i: usize, port: usize, j: usize) -> Option<f64> {
         self.tier().stored_contribution(i, port, j)
     }
 
-    fn stored_row(&self, i: usize, port: usize) -> Option<RowRef<'_>> {
-        self.tier().stored_row(i, port)
+    fn stored_row(&self, i: usize) -> Option<RowRef<'_>> {
+        self.tier().stored_row(i)
     }
 
     fn fold_candidate(
@@ -232,18 +229,14 @@ impl<M: MetricSpace> GainBackend for SessionBackend<'_, '_, '_, M> {
         members: &[usize],
         limit_hi: f64,
         acc: &mut [f64; MAX_PORTS],
-        dropped: &mut [u32; MAX_PORTS],
+        dropped: &mut u32,
     ) -> bool {
         self.tier()
             .fold_candidate(i, ports, members, limit_hi, acc, dropped)
     }
 
-    fn pruned_cap(&self, i: usize, port: usize) -> f64 {
-        self.tier().pruned_cap(i, port)
-    }
-
-    fn pruned_mass(&self, i: usize, port: usize) -> f64 {
-        self.tier().pruned_mass(i, port)
+    fn pad(&self, i: usize, dropped: u32) -> f64 {
+        self.tier().pad(i, dropped)
     }
 
     fn is_exact(&self) -> bool {
@@ -285,7 +278,6 @@ pub struct Scheduler {
     variant: Variant,
     matrix_budget: usize,
     sparse_config: SparseConfig,
-    parallel_config: ParallelConfig,
 }
 
 /// Default memory budget for the cached [`GainMatrix`]: below this size the
@@ -296,14 +288,13 @@ pub const DEFAULT_MATRIX_BUDGET: usize = 64 * 1024 * 1024;
 
 impl Scheduler {
     /// Creates a scheduler with the given parameters and the default
-    /// budget, sparse and parallel configurations.
+    /// budget and sparse configuration.
     pub fn new(params: SinrParams) -> Self {
         Self {
             params,
             variant: Variant::Bidirectional,
             matrix_budget: DEFAULT_MATRIX_BUDGET,
             sparse_config: SparseConfig::default(),
-            parallel_config: ParallelConfig::default(),
         }
     }
 
@@ -319,13 +310,6 @@ impl Scheduler {
     /// spatially-pruned backend ([`BackendPolicy::Auto`]).
     pub fn sparse_config(mut self, config: SparseConfig) -> Self {
         self.sparse_config = config;
-        self
-    }
-
-    /// Sets the [`ParallelConfig`] (gain slack, default thread count) used
-    /// by the [`SolveStrategy::Parallel`] strategy.
-    pub fn parallel_config(mut self, config: ParallelConfig) -> Self {
-        self.parallel_config = config;
         self
     }
 
@@ -459,10 +443,7 @@ impl Scheduler {
         let evaluator = instance.evaluator(self.params, &assignment.scheme());
         let view = evaluator.view(self.variant);
         let shards = tile_shards(instance, DEFAULT_TARGET_SHARDS);
-        let config = ParallelConfig {
-            num_threads,
-            ..self.parallel_config
-        };
+        let config = ParallelConfig::with_threads(num_threads);
         let (backend, engine) = self.select_backend(&view, instance.len(), num_threads, policy);
         let schedule = match &backend {
             SelectedBackend::Dense(matrix) => parallel_first_fit(matrix, &shards, &config),
@@ -680,7 +661,7 @@ impl Scheduler {
     /// comparison must use what the dense matrix would actually allocate.
     fn sparse_stats(
         &self,
-        sparse: &impl IncrementalSystem,
+        sparse: &impl GainBackend,
         bytes: usize,
         true_ports: usize,
     ) -> EngineStats {

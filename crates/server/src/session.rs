@@ -265,11 +265,18 @@ impl SessionRegistry {
     /// `meta_mismatch` / `config_mismatch` errors when the request
     /// contradicts what exists.
     ///
+    /// A fresh session whose bring-up fails leaves nothing behind: the
+    /// files this call wrote for it are removed again, so the name stays
+    /// free and no daemon start tries to recover it. A session whose
+    /// `meta.json` was already there is never touched on failure.
+    ///
     /// # Errors
     ///
-    /// [`WireErrorKind::BadName`], [`WireErrorKind::MetaMismatch`],
-    /// [`WireErrorKind::ConfigMismatch`], or the family/durability errors
-    /// of bringing the session up.
+    /// [`WireErrorKind::BadName`], [`WireErrorKind::BadRequest`] (a zero
+    /// `checkpoint_every` or a config that fails
+    /// [`DynamicConfig::validate`], refused before anything is written),
+    /// [`WireErrorKind::MetaMismatch`], [`WireErrorKind::ConfigMismatch`],
+    /// or the family/durability errors of bringing the session up.
     pub fn open(&self, spec: &OpenSpec) -> Result<OpenedInfo, WireError> {
         validate_name(&spec.name)?;
         if spec.checkpoint_every == Some(0) {
@@ -277,6 +284,11 @@ impl SessionRegistry {
                 WireErrorKind::BadRequest,
                 "checkpoint_every must be at least 1 event",
             ));
+        }
+        if let Some(config) = &spec.config {
+            config
+                .validate()
+                .map_err(|reason| WireError::new(WireErrorKind::BadRequest, reason))?;
         }
         let requested = SessionMeta::of_spec(spec);
 
@@ -295,25 +307,36 @@ impl SessionRegistry {
         }
 
         let dir = self.data_dir.join(&spec.name);
-        if dir.join(META_FILE).is_file() {
+        let created = if dir.join(META_FILE).is_file() {
             let stored = read_meta(&dir)?;
             if stored != requested {
                 return Err(meta_mismatch(&spec.name, &stored, &requested));
             }
+            Vec::new()
         } else {
-            fs::create_dir_all(&dir).map_err(WireError::from)?;
-            let rendered = serde_json::to_string_pretty(&requested).map_err(WireError::from)?;
-            fs::write(dir.join(META_FILE), rendered + "\n").map_err(WireError::from)?;
-        }
+            let created = missing_paths(&dir);
+            if let Err(err) = write_meta(&dir, &requested) {
+                remove_created(&created);
+                return Err(err);
+            }
+            created
+        };
 
         let mode = OpenMode {
             config: spec.config,
             checkpoint_every: spec.checkpoint_every,
             restart: false,
         };
-        let (handle, info) = spawn_session(spec.name.clone(), requested, dir, mode)?;
-        lock(&self.sessions).insert(spec.name.clone(), handle);
-        Ok(info)
+        match spawn_session(spec.name.clone(), requested, dir, mode) {
+            Ok((handle, info)) => {
+                lock(&self.sessions).insert(spec.name.clone(), handle);
+                Ok(info)
+            }
+            Err(err) => {
+                remove_created(&created);
+                Err(err)
+            }
+        }
     }
 
     fn lookup(&self, name: &str) -> Result<Arc<SessionHandle>, WireError> {
@@ -419,6 +442,38 @@ fn meta_mismatch(name: &str, stored: &SessionMeta, requested: &SessionMeta) -> W
              stored {stored:?}, requested {requested:?}"
         ),
     )
+}
+
+/// Writes a fresh session's identity file, creating its directory.
+fn write_meta(dir: &Path, meta: &SessionMeta) -> Result<(), WireError> {
+    fs::create_dir_all(dir).map_err(WireError::from)?;
+    let rendered = serde_json::to_string_pretty(meta).map_err(WireError::from)?;
+    fs::write(dir.join(META_FILE), rendered + "\n").map_err(WireError::from)
+}
+
+/// The paths a fresh session's bring-up writes under `dir` that do not
+/// exist yet: its identity file, log and snapshot, and `dir` itself when it
+/// is missing too.
+fn missing_paths(dir: &Path) -> Vec<PathBuf> {
+    [META_FILE, DiskStore::WAL_FILE, DiskStore::SNAPSHOT_FILE]
+        .iter()
+        .map(|file| dir.join(file))
+        .chain([dir.to_path_buf()])
+        .filter(|path| !path.exists())
+        .collect()
+}
+
+/// Takes back what a failed bring-up wrote at `paths` (see
+/// [`missing_paths`]): the files, then the directory with whatever is left
+/// in it when this call created it.
+fn remove_created(paths: &[PathBuf]) {
+    for path in paths {
+        let _ = if path.is_dir() {
+            fs::remove_dir_all(path)
+        } else {
+            fs::remove_file(path)
+        };
+    }
 }
 
 fn read_meta(dir: &Path) -> Result<SessionMeta, WireError> {
@@ -788,6 +843,70 @@ mod tests {
             WireErrorKind::UnknownSession
         );
         registry.shutdown_all();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_open_leaves_nothing_behind() {
+        let dir = temp_dir("failed-open");
+        let registry = SessionRegistry::new(&dir).expect("registry");
+
+        // A universe the family cannot build fails in bring-up; the files
+        // the open wrote go again, so the name is still free.
+        let mut empty = spec("s1");
+        empty.n = 0;
+        assert_eq!(
+            registry.open(&empty).unwrap_err().kind,
+            WireErrorKind::Family
+        );
+        assert!(!dir.join("s1").exists());
+        assert!(!registry.open(&spec("s1")).expect("open").recovered);
+
+        // A configuration the scheduler refuses is a bad request, answered
+        // before anything is written.
+        for config in [
+            DynamicConfig {
+                rebuild_interval: 0,
+                ..DynamicConfig::default()
+            },
+            DynamicConfig {
+                drift_tolerance: -1e-6,
+                ..DynamicConfig::default()
+            },
+        ] {
+            let mut bad = spec("s2");
+            bad.config = Some(config);
+            assert_eq!(
+                registry.open(&bad).unwrap_err().kind,
+                WireErrorKind::BadRequest
+            );
+            assert!(!dir.join("s2").exists());
+        }
+
+        // Negative control: the valid session keeps its identity file and
+        // snapshot, also through a failed bring-up of its own (a config
+        // mismatch against the persisted state), and it is all a restarted
+        // registry recovers.
+        registry.insert("s1", 0).expect("insert");
+        registry.close("s1").expect("close");
+        let mut other_config = spec("s1");
+        other_config.config = Some(DynamicConfig {
+            recolor_budget: 1,
+            ..DynamicConfig::default()
+        });
+        assert_eq!(
+            registry.open(&other_config).unwrap_err().kind,
+            WireErrorKind::ConfigMismatch
+        );
+        let s1 = dir.join("s1");
+        assert!(s1.join(META_FILE).is_file());
+        assert!(s1.join(DiskStore::SNAPSHOT_FILE).is_file());
+        let restarted = SessionRegistry::new(&dir).expect("registry");
+        let rows = restarted.recover_all();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].0, "s1");
+        assert_eq!(rows[0].1.as_ref().expect("recovered").live, 1);
+        restarted.shutdown_all();
         let _ = fs::remove_dir_all(&dir);
     }
 }

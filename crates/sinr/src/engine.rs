@@ -7,21 +7,21 @@
 //! class sizes and caps usable instance sizes. This module removes that
 //! bottleneck while preserving the naive semantics **exactly**:
 //!
-//! * [`IncrementalSystem`] — the structural property the engine exploits:
-//!   interference is a *sum of pairwise contributions per port* (one port for
-//!   directed / node-loss items, the two endpoints for bidirectional pairs),
-//!   and an item's interference is the maximum over its ports.
-//! * [`GainBackend`] — the backend contract: how the engine obtains
-//!   contributions. Exact backends represent every pair; pruned backends
-//!   (the [`sparse`] module) drop far-field pairs and report conservative
-//!   bounds on what they dropped.
+//! * [`GainBackend`] — the backend contract. It states the structural
+//!   property the engine exploits: interference is a *sum of pairwise
+//!   contributions per port* (one port for directed / node-loss items, the
+//!   two endpoints for bidirectional pairs), and an item's interference is
+//!   the maximum over its ports. Exact backends represent every pair; pruned
+//!   backends (the [`sparse`] module) keep one row per request, drop
+//!   far-field pairs and pad each row with a conservative bound on what they
+//!   dropped.
 //! * [`ColorAccumulator`] — maintains the per-port running interference sums
 //!   of one color class, so a join query costs `O(|C|)` contributions instead
 //!   of `O(|C|²)`, and a commit is a further `O(|C|)` update.
 //! * [`GainMatrix`] — a flat row-major cache of all `ports · n · n`
 //!   contributions, computed once per (instance, power assignment, variant),
 //!   turning every contribution into an array lookup. It is itself a
-//!   self-contained [`InterferenceSystem`] + [`IncrementalSystem`].
+//!   self-contained [`InterferenceSystem`] + [`GainBackend`].
 //! * [`sparse`] — the spatially-pruned tiers: one pruning core stores per
 //!   row only the contributions above a cutoff (located through a uniform
 //!   spatial grid over request positions) and tracks the total dropped mass
@@ -82,7 +82,7 @@ use oblisched_metric::MetricSpace;
 
 pub mod sparse;
 
-/// Upper bound on [`IncrementalSystem::num_ports`]: directed and node-loss
+/// Upper bound on [`GainBackend::num_ports`]: directed and node-loss
 /// systems have one interference port per item, bidirectional pairs have two
 /// (their endpoints).
 pub const MAX_PORTS: usize = 2;
@@ -121,53 +121,10 @@ pub(crate) fn approx_f64(n: usize) -> f64 {
     n as f64
 }
 
-/// An [`InterferenceSystem`] whose interference decomposes into pairwise
-/// contributions.
-///
-/// The contract mirrors how the naive evaluator computes interference: item
-/// `i` has [`num_ports`](IncrementalSystem::num_ports) ports, the
-/// interference of `i` against a set `S` is
-/// `max_port Σ_{j ∈ S \ {i}} contribution(i, port, j)`, and its SINR is
-/// `signal(i) / (interference + noise)` (infinite when the denominator is
-/// zero). Implementations must make `contribution` agree term-for-term with
-/// their [`InterferenceSystem::sinr`], so that accumulated sums reproduce the
-/// naive fold exactly.
-pub trait IncrementalSystem: InterferenceSystem {
-    /// Number of interference ports per item (`1` or `2`, never more than
-    /// [`MAX_PORTS`]). Uniform across the system.
-    fn num_ports(&self) -> usize;
-
-    /// The interference contribution of item `j` at port `port` of item `i`.
-    ///
-    /// Must return `0.0` when `j == i` (an item never interferes with
-    /// itself), and may return `f64::INFINITY` for coinciding positions.
-    fn contribution(&self, i: usize, port: usize, j: usize) -> f64;
-
-    /// The received strength of item `i`'s own signal.
-    fn signal(&self, i: usize) -> f64;
-
-    /// The ambient noise added to every interference sum.
-    fn noise(&self) -> f64;
-}
-
-/// One stored (non-pruned) contribution of a sparse backend row: the
-/// interferer index and the contribution value it adds at the row's port.
-///
-/// Rows are sorted by interferer index, so membership queries are binary
-/// searches and row/class intersections are linear merges.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparseEntry {
-    /// The interfering item (`u32` to halve the index footprint of large
-    /// sparse matrices; systems are far below `u32::MAX` items).
-    pub j: u32,
-    /// The stored contribution value.
-    pub v: f64,
-}
-
 /// A borrowed sparse row in structure-of-arrays form: the sorted interferer
 /// indices and their contribution values as two parallel slices.
 ///
-/// Splitting the former interleaved `&[SparseEntry]` rows keeps membership
+/// Splitting the former interleaved `(index, value)` rows keeps membership
 /// scans on a dense `u32` array (twice as many indices per cache line, no
 /// padding) and drops the per-entry footprint from 16 to 12 bytes. Values
 /// stay `f64`: an `f32` representation was evaluated and rejected — rounding
@@ -184,26 +141,6 @@ pub struct RowRef<'a> {
 }
 
 impl<'a> RowRef<'a> {
-    /// The empty row (usable at any lifetime).
-    pub const EMPTY: RowRef<'static> = RowRef {
-        cols: &[],
-        vals: &[],
-    };
-
-    /// Borrows a row from its parallel column/value slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length.
-    pub fn new(cols: &'a [u32], vals: &'a [f64]) -> Self {
-        assert_eq!(
-            cols.len(),
-            vals.len(),
-            "row columns and values must stay parallel"
-        );
-        Self { cols, vals }
-    }
-
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.cols.len()
@@ -226,66 +163,92 @@ impl<'a> RowRef<'a> {
     }
 }
 
-/// The backend contract of the interference engine: an [`IncrementalSystem`]
-/// that may additionally *prune* small contributions, as long as it accounts
-/// for everything it dropped.
+/// The backend contract of the interference engine: an
+/// [`InterferenceSystem`] whose interference decomposes into pairwise
+/// contributions, and which may additionally *prune* small contributions, as
+/// long as it accounts for everything it dropped.
 ///
-/// Two kinds of backends implement this trait:
+/// # Decomposition
 ///
-/// * **exact backends** ([`GainMatrix`], [`VariantView`],
-///   [`NodeLossEvaluator`]) represent every contribution exactly — all
-///   methods keep their defaults and the engine behaves bit-for-bit like the
-///   naive evaluator fold;
-/// * **pruned backends** (the two sparse tiers,
-///   [`sparse::SparseGainMatrix`] and [`sparse::SparseChurnMatrix`]) store
-///   only the contributions above a per-row cutoff and report, per row, an
-///   upper bound on what they dropped ([`pruned_cap`](GainBackend::pruned_cap) /
-///   [`pruned_mass`](GainBackend::pruned_mass)). The [`ColorAccumulator`]
-///   adds that bound back into its running sums, so every feasibility
-///   verdict is **conservative**: a set accepted through a pruned backend is
-///   always feasible for the exact system (the reverse may not hold — a
-///   pruned backend can reject borderline sets the exact system accepts,
-///   costing colors, never correctness). The sparse tiers keep one row per
-///   request ([`num_ports`](IncrementalSystem::num_ports) is `1`, the ports
-///   of a bidirectional request folded into their maximum) and ignore the
-///   `port` arguments, which serve the dense tier.
+/// The four required methods mirror how the naive evaluator computes
+/// interference: item `i` has [`num_ports`](GainBackend::num_ports) ports,
+/// the interference of `i` against a set `S` is
+/// `max_port Σ_{j ∈ S \ {i}} contribution(i, port, j)`, and its SINR is
+/// `signal(i) / (interference + noise)` (infinite when the denominator is
+/// zero). Implementations must make `contribution` agree term-for-term with
+/// their [`InterferenceSystem::sinr`], so that accumulated sums reproduce the
+/// naive fold exactly.
 ///
-/// # Contract
+/// # Exact and pruned backends
+///
+/// * **Exact backends** ([`GainMatrix`], [`VariantView`],
+///   [`NodeLossEvaluator`]) represent every contribution exactly — every
+///   provided method keeps its default (the dense matrix only overrides the
+///   candidate fold, for speed) and the engine behaves bit-for-bit like the
+///   naive evaluator fold.
+/// * **Pruned backends** (the two sparse tiers,
+///   [`sparse::SparseGainMatrix`] and [`sparse::SparseChurnMatrix`]) keep
+///   one row per request ([`num_ports`](GainBackend::num_ports) is `1`, the
+///   ports of a bidirectional request folded into their maximum), store only
+///   the contributions above a per-row cutoff, and [`pad`](GainBackend::pad)
+///   each row with an upper bound on what it dropped. The
+///   [`ColorAccumulator`] adds that pad into its running sums, so every
+///   feasibility verdict is **conservative**: a set accepted through a
+///   pruned backend is always feasible for the exact system (the reverse may
+///   not hold — a pruned backend can reject borderline sets the exact system
+///   accepts, costing colors, never correctness).
+///
+/// # Pruning contract
 ///
 /// * [`stored_contribution`](GainBackend::stored_contribution) returns
 ///   `Some(v)` exactly when the pair is represented; `v` must be an upper
 ///   bound on (for exact backends: equal to) the true contribution.
-/// * Every unrepresented pair's true contribution must be at most
-///   [`pruned_cap`](GainBackend::pruned_cap) of its row, and the sum of all
-///   unrepresented contributions of a row at most
-///   [`pruned_mass`](GainBackend::pruned_mass).
-/// * A backend may report fewer ports than the exact system has (the sparse
-///   tiers fold a bidirectional request's two ports into one row). The
-///   bounds above then hold for every true port: a stored value bounds the
-///   pair's contribution at each of them, and the pads bound what each of
-///   them dropped.
-pub trait GainBackend: IncrementalSystem {
+/// * [`pad`](GainBackend::pad)`(i, dropped)` must bound the total true
+///   contribution of any `dropped` unrepresented interferers of row `i`.
+/// * A pruned backend has exactly one port: the accumulator counts pruned
+///   class members once per member, and refuses a backend that is not
+///   [`is_exact`](GainBackend::is_exact) yet reports several ports. A stored
+///   value and the pad then bound the pair's contribution at every true port
+///   of the exact system.
+pub trait GainBackend: InterferenceSystem {
+    /// Number of interference ports per item (`1` or `2`, never more than
+    /// [`MAX_PORTS`], and `1` for pruned backends). Uniform across the
+    /// system.
+    fn num_ports(&self) -> usize;
+
+    /// The interference contribution of item `j` at port `port` of item `i`.
+    ///
+    /// Must return `0.0` when `j == i` (an item never interferes with
+    /// itself), and may return `f64::INFINITY` for coinciding positions.
+    fn contribution(&self, i: usize, port: usize, j: usize) -> f64;
+
+    /// The received strength of item `i`'s own signal.
+    fn signal(&self, i: usize) -> f64;
+
+    /// The ambient noise added to every interference sum.
+    fn noise(&self) -> f64;
+
     /// The stored contribution of pair `(i, port, j)`, or `None` when the
     /// backend pruned it. Exact backends store everything.
     fn stored_contribution(&self, i: usize, port: usize, j: usize) -> Option<f64> {
         Some(self.contribution(i, port, j))
     }
 
-    /// The stored row of `(i, port)` in sorted structure-of-arrays form,
-    /// when the backend materialises rows (pruned backends do; exact
-    /// backends return `None` and the engine falls back to per-member
-    /// [`contribution`](IncrementalSystem::contribution) queries).
-    fn stored_row(&self, i: usize, port: usize) -> Option<RowRef<'_>> {
-        let _ = (i, port);
+    /// The stored row of `i` in sorted structure-of-arrays form, when the
+    /// backend materialises rows (the batch sparse tier does; other backends
+    /// return `None` and the engine falls back to per-member
+    /// [`stored_contribution`](GainBackend::stored_contribution) queries).
+    fn stored_row(&self, i: usize) -> Option<RowRef<'_>> {
+        let _ = i;
         None
     }
 
     /// Folds the candidate-side probe of the per-member path: for every `j`
-    /// in `members` (in order), add
+    /// in `members` (in order) and every port, add
     /// [`stored_contribution`](GainBackend::stored_contribution)`(i, port, j)`
-    /// into `acc[port]` — or count a drop in `dropped[port]` when the pair is
-    /// pruned — checking `acc[port] > limit_hi` after each addition and
-    /// returning `false` on the first exceedance (an early reject; see
+    /// into `acc[port]` — or count a pruned member in `dropped` — checking
+    /// `acc[port] > limit_hi` after each addition and returning `false` on
+    /// the first exceedance (an early reject; see
     /// [`ColorAccumulator::try_insert_with_gain`]). Returns `true` with the
     /// complete sums otherwise.
     ///
@@ -304,13 +267,13 @@ pub trait GainBackend: IncrementalSystem {
         members: &[usize],
         limit_hi: f64,
         acc: &mut [f64; MAX_PORTS],
-        dropped: &mut [u32; MAX_PORTS],
+        dropped: &mut u32,
     ) -> bool {
         for &j in members {
             for (port, slot) in acc.iter_mut().enumerate().take(ports) {
                 match self.stored_contribution(i, port, j) {
                     Some(v) => *slot += v,
-                    None => dropped[port] += 1,
+                    None => *dropped += 1,
                 }
                 if *slot > limit_hi {
                     return false;
@@ -320,18 +283,13 @@ pub trait GainBackend: IncrementalSystem {
         true
     }
 
-    /// Upper bound on any single pruned contribution into `(i, port)`.
-    /// `0.0` for exact backends.
-    fn pruned_cap(&self, i: usize, port: usize) -> f64 {
-        let _ = (i, port);
-        0.0
-    }
-
-    /// Upper bound on the *total* pruned mass of row `(i, port)` — the sum
-    /// of every contribution the backend dropped from this row. `0.0` for
-    /// exact backends.
-    fn pruned_mass(&self, i: usize, port: usize) -> f64 {
-        let _ = (i, port);
+    /// The pruning pad of row `i` when `dropped` of its class members were
+    /// pruned: an upper bound on their total true contribution. The
+    /// accumulator adds it to the row's stored sum before every feasibility
+    /// comparison and never asks at zero drops, so exact backends keep the
+    /// default `0.0` and stay bit-for-bit unpadded.
+    fn pad(&self, i: usize, dropped: u32) -> f64 {
+        let _ = (i, dropped);
         0.0
     }
 
@@ -390,19 +348,19 @@ pub const DEFAULT_REBUILD_INTERVAL: usize = 64;
 pub const NO_COLOR: u32 = u32::MAX;
 
 /// Reusable workspace of a *batched* multi-class candidate probe: one walk
-/// over the candidate's stored row per port, bucketing every contribution by
-/// the current color of its interferer.
+/// over the candidate's stored row, bucketing every contribution by the
+/// current color of its interferer.
 ///
 /// First-fit probes a candidate against every open class in turn; with `C`
 /// open classes and a stored row of length `L`, the sequential row path costs
 /// `O(C · L)` because each class's probe re-walks the whole row filtering by
 /// its own membership bitset. A gathered batch walks the row **once**,
 /// accumulating each entry into the bucket of `color_of[j]`, and hands every
-/// class its per-port sums and hit counts in `O(1)` — `O(L + C)` total. The
-/// per-class bucket sum adds the exact same row-order subsequence of values
-/// the sequential walk adds (an entry is bucketed into class `c` exactly when
-/// the sequential probe's bitset test for class `c` accepts it), so the sums
-/// are bit-for-bit identical.
+/// class its sum and hit count in `O(1)` — `O(L + C)` total. The per-class
+/// bucket sum adds the exact same row-order subsequence of values the
+/// sequential walk adds (an entry is bucketed into class `c` exactly when the
+/// sequential probe's bitset test for class `c` accepts it), so the sums are
+/// bit-for-bit identical.
 ///
 /// The drivers in `oblisched_core::greedy` own one `ProbeBatch` per first-fit
 /// call (inside their scratch state), [`gather`](ProbeBatch::gather) it once
@@ -413,16 +371,13 @@ pub const NO_COLOR: u32 = u32::MAX;
 /// member path).
 #[derive(Debug, Default)]
 pub struct ProbeBatch {
-    /// Per-bucket per-port sums: entry `class * MAX_PORTS + port`.
+    /// Per-class sums of the row entries landing in the class.
     sums: Vec<f64>,
-    /// Per-bucket per-port count of row entries landing in the bucket.
+    /// Per-class count of row entries landing in the class.
     hits: Vec<u32>,
-    /// Stored-row length per port of the gathered item (`usize::MAX` when the
-    /// backend exposed no row), feeding the per-class row-vs-member path
-    /// heuristic.
-    row_len: [usize; MAX_PORTS],
-    /// `true` when the gathered item had a stored row at every port.
-    valid: bool,
+    /// Stored-row length of the gathered item, feeding the per-class
+    /// row-vs-member path heuristic; `None` when the backend exposed no row.
+    row_len: Option<usize>,
 }
 
 impl ProbeBatch {
@@ -431,15 +386,14 @@ impl ProbeBatch {
         Self::default()
     }
 
-    /// Walks candidate `i`'s stored row once per port and buckets every
-    /// contribution by `color_of[j]` into `classes` buckets. Entries whose
-    /// interferer is uncolored ([`NO_COLOR`]) or equal to `i` are skipped —
-    /// exactly the entries the sequential per-class row walk skips.
+    /// Walks candidate `i`'s stored row once and buckets every contribution
+    /// by `color_of[j]` into `classes` buckets. Entries whose interferer is
+    /// uncolored ([`NO_COLOR`]) or equal to `i` are skipped — exactly the
+    /// entries the sequential per-class row walk skips.
     ///
     /// `color_of[j]` must be the bucket index of the class currently holding
     /// item `j` (below `classes`), or [`NO_COLOR`]. When the backend exposes
-    /// no stored row at some port the batch is marked invalid and every
-    /// class falls back to its sequential probe.
+    /// no stored row every class falls back to its sequential probe.
     ///
     /// # Panics
     ///
@@ -452,72 +406,45 @@ impl ProbeBatch {
         classes: usize,
         color_of: &[u32],
     ) {
-        self.valid = false;
-        self.row_len = [usize::MAX; MAX_PORTS];
-        let ports = system.num_ports();
-        let slots = classes * MAX_PORTS;
         self.sums.clear();
-        self.sums.resize(slots, 0.0);
+        self.sums.resize(classes, 0.0);
         self.hits.clear();
-        self.hits.resize(slots, 0);
-        let mut rows = [RowRef::EMPTY; MAX_PORTS];
-        for (port, (len, row)) in self
-            .row_len
-            .iter_mut()
-            .zip(rows.iter_mut())
-            .enumerate()
-            .take(ports)
-        {
-            match system.stored_row(i, port) {
-                Some(r) => {
-                    *len = r.len();
-                    *row = r;
-                }
-                None => return,
+        self.hits.resize(classes, 0);
+        let row = system.stored_row(i);
+        self.row_len = row.map(|row| row.len());
+        let Some(row) = row else { return };
+        for (col, v) in row.iter() {
+            let j = item_index(col);
+            let c = color_of[j];
+            if c != NO_COLOR && j != i {
+                let c = item_index(c);
+                self.sums[c] += v;
+                self.hits[c] += 1;
             }
         }
-        for (port, row) in rows.iter().enumerate().take(ports) {
-            for (col, v) in row.iter() {
-                let j = item_index(col);
-                let c = color_of[j];
-                if c != NO_COLOR && j != i {
-                    let slot = item_index(c) * MAX_PORTS + port;
-                    self.sums[slot] += v;
-                    self.hits[slot] += 1;
-                }
-            }
-        }
-        self.valid = true;
     }
 
-    /// The gathered candidate sums and drop counts of one class bucket, or
-    /// `None` when some port's sum already exceeds `limit_hi` (equivalent to
-    /// the sequential probe's early reject: sums are monotone in the row
-    /// prefix, so a prefix exceedance and a full-sum exceedance coincide).
+    /// The gathered candidate sum and drop count of one class bucket, or
+    /// `None` when the sum already exceeds `limit_hi` (equivalent to the
+    /// sequential probe's early reject: sums are monotone in the row prefix,
+    /// so a prefix exceedance and a full-sum exceedance coincide).
     ///
     /// `members` is the class size at probe time (hits are subtracted from it
-    /// to recover the per-port pruned-member count).
-    fn class_candidate(
-        &self,
-        class: usize,
-        ports: usize,
-        members: usize,
-        limit_hi: f64,
-    ) -> Option<([f64; MAX_PORTS], [u32; MAX_PORTS])> {
-        let mut acc = [0.0f64; MAX_PORTS];
-        let mut dropped = [0u32; MAX_PORTS];
-        let base = class * MAX_PORTS;
-        for port in 0..ports {
-            let sum = self.sums[base + port];
-            if sum > limit_hi {
-                return None;
-            }
-            acc[port] = sum;
-            dropped[port] = item_id(members) - self.hits[base + port];
+    /// to recover the pruned-member count).
+    fn class_candidate(&self, class: usize, members: usize, limit_hi: f64) -> Option<Candidate> {
+        let sum = self.sums[class];
+        if sum > limit_hi {
+            return None;
         }
-        Some((acc, dropped))
+        let mut acc = [0.0f64; MAX_PORTS];
+        acc[0] = sum;
+        Some((acc, item_id(members) - self.hits[class]))
     }
 }
+
+/// A candidate's probed per-port stored sums against one class, and the
+/// number of class members whose contribution the backend pruned.
+type Candidate = ([f64; MAX_PORTS], u32);
 
 /// Incrementally maintained interference state of one color class.
 ///
@@ -579,10 +506,10 @@ pub struct ColorAccumulator<'s, S: ?Sized> {
     /// Flat row-major per-member sums: entry `pos * ports + port`.
     sums: Vec<f64>,
     /// Per-member count of class members whose contribution the backend
-    /// pruned away (same layout as `sums`). Always zero for exact backends;
-    /// for pruned backends the feasibility checks add
-    /// `min(pruned_mass, drops · pruned_cap)` of the member's row back onto
-    /// the sum, which keeps every verdict conservative.
+    /// pruned away. Always zero for exact backends; pruned backends have one
+    /// port, and the feasibility checks add the backend's
+    /// [`pad`](GainBackend::pad) for this count back onto the member's sum,
+    /// which keeps every verdict conservative.
     drops: Vec<u32>,
     /// Membership bitset over the system's items, maintained only for pruned
     /// backends (where candidate probes iterate the stored row and need an
@@ -620,12 +547,13 @@ impl<S: ?Sized> Clone for ColorAccumulator<'_, S> {
 
 impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// Creates an empty accumulator for one color class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `system` exposes an unsupported port count: outside
+    /// `1..=`[`MAX_PORTS`], or more than one for a pruned backend.
     pub fn new(system: &'s S) -> Self {
-        let ports = system.num_ports();
-        assert!(
-            (1..=MAX_PORTS).contains(&ports),
-            "systems must expose between 1 and {MAX_PORTS} ports, got {ports}"
-        );
+        let ports = Self::checked_ports(system);
         let in_class = (!system.is_exact()).then(|| vec![0u64; system.len().div_ceil(64)]);
         Self {
             system,
@@ -638,6 +566,22 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
             rebuild_interval: DEFAULT_REBUILD_INTERVAL,
             witness: None,
         }
+    }
+
+    /// The port count of `system`, checked against what the accumulator
+    /// supports: between 1 and [`MAX_PORTS`], and exactly one for a pruned
+    /// backend, whose drop counts are kept once per member.
+    fn checked_ports(system: &S) -> usize {
+        let ports = system.num_ports();
+        assert!(
+            (1..=MAX_PORTS).contains(&ports),
+            "systems must expose between 1 and {MAX_PORTS} ports, got {ports}"
+        );
+        assert!(
+            ports == 1 || system.is_exact(),
+            "pruned backends must keep one row per request, got {ports} ports"
+        );
+        ports
     }
 
     /// Sets the drift-guard threshold: the number of removals after which the
@@ -704,13 +648,8 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// Panics if `system` exposes an unsupported port count (as
     /// [`new`](ColorAccumulator::new) does).
     pub fn reset_for(&mut self, system: &'s S) {
-        let ports = system.num_ports();
-        assert!(
-            (1..=MAX_PORTS).contains(&ports),
-            "systems must expose between 1 and {MAX_PORTS} ports, got {ports}"
-        );
+        self.ports = Self::checked_ports(system);
         self.system = system;
-        self.ports = ports;
         self.members.clear();
         self.sums.clear();
         self.drops.clear();
@@ -746,16 +685,26 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         }
     }
 
-    /// The pruning pad of row `(item, port)` given `drops` pruned class
-    /// members: the tightest available upper bound on the interference mass
-    /// the backend dropped from this row's class sum. Exactly `0.0` when
-    /// nothing was dropped, so exact backends stay bit-for-bit unpadded.
-    fn pad(&self, item: usize, port: usize, drops: u32) -> f64 {
+    /// The pruning pad of `item`'s row given `drops` pruned class members.
+    /// Exactly `0.0` when nothing was dropped, without asking the backend,
+    /// so exact backends stay bit-for-bit unpadded.
+    fn pad(&self, item: usize, drops: u32) -> f64 {
         if drops == 0 {
-            return 0.0;
+            0.0
+        } else {
+            self.system.pad(item, drops)
         }
-        let per_member = f64::from(drops) * self.system.pruned_cap(item, port);
-        per_member.min(self.system.pruned_mass(item, port))
+    }
+
+    /// The running sums of the member at position `pos`, one per port, with
+    /// its row's pruning pad added (zero for exact backends).
+    fn padded_sums(&self, pos: usize) -> [f64; MAX_PORTS] {
+        let pad = self.pad(self.members[pos], self.drops[pos]);
+        let mut padded = [0.0f64; MAX_PORTS];
+        for (port, slot) in padded.iter_mut().enumerate().take(self.ports) {
+            *slot = self.sums[pos * self.ports + port] + pad;
+        }
+        padded
     }
 
     /// The current interference experienced by the member at position `pos`
@@ -767,12 +716,9 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// Panics if `pos` is out of range.
     pub fn interference_of(&self, pos: usize) -> f64 {
         assert!(pos < self.members.len(), "position {pos} out of range");
-        let item = self.members[pos];
-        (0..self.ports)
-            .map(|port| {
-                let slot = pos * self.ports + port;
-                self.sums[slot] + self.pad(item, port, self.drops[slot])
-            })
+        self.padded_sums(pos)[..self.ports]
+            .iter()
+            .copied()
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
@@ -784,22 +730,25 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// Panics if `pos` is out of range.
     pub fn sinr_of(&self, pos: usize) -> f64 {
         assert!(pos < self.members.len(), "position {pos} out of range");
-        let item = self.members[pos];
-        let mut ports = [0.0f64; MAX_PORTS];
-        for (port, slot) in ports.iter_mut().enumerate().take(self.ports) {
-            let idx = pos * self.ports + port;
-            *slot = self.sums[idx] + self.pad(item, port, self.drops[idx]);
-        }
+        let padded = self.padded_sums(pos);
         sinr_from_ports(
-            self.system.signal(item),
-            &ports[..self.ports],
+            self.system.signal(self.members[pos]),
+            &padded[..self.ports],
             self.system.noise(),
         )
     }
 
+    /// `true` when walking a stored row of `row_len` entries is cheaper than
+    /// per-member lookups: row iteration beats per-member binary searches
+    /// once the class outgrows a fraction of the row. Both orders are
+    /// deterministic.
+    fn row_walk_pays(&self, row_len: usize) -> bool {
+        row_len < self.members.len().saturating_mul(12)
+    }
+
     /// The per-port stored interference candidate `i` would experience from
-    /// the current members, plus the per-port count of members whose
-    /// contribution the backend pruned.
+    /// the current members, plus the count of members whose contribution the
+    /// backend pruned.
     ///
     /// Exact backends take the per-member path (`O(members)` contributions,
     /// summed in member order — the naive fold). Pruned backends with
@@ -812,13 +761,9 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// padded (or exact) interference, the caller's feasibility check is
     /// guaranteed to fail, and the scan can stop early. Callers that need
     /// the full sums pass `f64::INFINITY`.
-    fn candidate_probe(
-        &self,
-        i: usize,
-        limit_hi: f64,
-    ) -> Option<([f64; MAX_PORTS], [u32; MAX_PORTS])> {
+    fn candidate_probe(&self, i: usize, limit_hi: f64) -> Option<Candidate> {
         let mut acc = [0.0f64; MAX_PORTS];
-        let mut dropped = [0u32; MAX_PORTS];
+        let mut dropped = 0u32;
         self.probe_into(i, limit_hi, &mut acc, &mut dropped)
             .then_some((acc, dropped))
     }
@@ -827,9 +772,9 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// infinite limit: the scan always completes (no finite sum exceeds
     /// `+∞`), so the full sums come back unconditionally — what the
     /// unchecked insert and rebuild paths need.
-    fn probe_full(&self, i: usize) -> ([f64; MAX_PORTS], [u32; MAX_PORTS]) {
+    fn probe_full(&self, i: usize) -> Candidate {
         let mut acc = [0.0f64; MAX_PORTS];
-        let mut dropped = [0u32; MAX_PORTS];
+        let mut dropped = 0u32;
         let complete = self.probe_into(i, f64::INFINITY, &mut acc, &mut dropped);
         debug_assert!(complete, "an infinite limit never rejects early");
         (acc, dropped)
@@ -844,36 +789,27 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         i: usize,
         limit_hi: f64,
         acc: &mut [f64; MAX_PORTS],
-        dropped: &mut [u32; MAX_PORTS],
+        dropped: &mut u32,
     ) -> bool {
+        // A membership bitset means a pruned backend, hence a single port.
         if let Some(bits) = &self.in_class {
-            // Row iteration beats per-member binary searches once the class
-            // outgrows a fraction of the row; below that the member path is
-            // cheaper. Both orders are deterministic.
-            let mut rows = [RowRef::EMPTY; MAX_PORTS];
-            let use_rows = (0..self.ports).all(|port| match self.system.stored_row(i, port) {
-                Some(row) if row.len() < self.members.len().saturating_mul(12) => {
-                    rows[port] = row;
-                    true
-                }
-                _ => false,
-            });
-            if use_rows {
-                for (port, slot) in acc.iter_mut().enumerate().take(self.ports) {
+            if let Some(row) = self.system.stored_row(i) {
+                if self.row_walk_pays(row.len()) {
+                    let sum = &mut acc[0];
                     let mut hits = 0u32;
-                    for (col, v) in rows[port].iter() {
+                    for (col, v) in row.iter() {
                         let j = item_index(col);
                         if bits[j / 64] >> (j % 64) & 1 == 1 && j != i {
-                            *slot += v;
+                            *sum += v;
                             hits += 1;
-                            if *slot > limit_hi {
+                            if *sum > limit_hi {
                                 return false;
                             }
                         }
                     }
-                    dropped[port] = item_id(self.members.len()) - hits;
+                    *dropped = item_id(self.members.len()) - hits;
+                    return true;
                 }
-                return true;
             }
         }
         self.system
@@ -902,10 +838,10 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
                 return false;
             }
         }
-        let Some((cand, cand_drops)) = self.candidate_probe(i, limit_hi) else {
+        let Some(cand) = self.candidate_probe(i, limit_hi) else {
             return false;
         };
-        self.admit_with_candidate(i, threshold, cand, cand_drops)
+        self.admit_with_candidate(i, threshold, cand)
     }
 
     /// [`try_insert_with_gain`](ColorAccumulator::try_insert_with_gain) fed
@@ -927,27 +863,23 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     ) -> bool {
         let (threshold, limit_hi) = self.gain_limits(i, gain);
         let probe = if self.batch_applies(batch) {
-            batch.class_candidate(class, self.ports, self.members.len(), limit_hi)
+            batch.class_candidate(class, self.members.len(), limit_hi)
         } else {
             self.candidate_probe(i, limit_hi)
         };
-        let Some((cand, cand_drops)) = probe else {
+        let Some(cand) = probe else {
             return false;
         };
-        self.admit_with_candidate(i, threshold, cand, cand_drops)
+        self.admit_with_candidate(i, threshold, cand)
     }
 
     /// `true` when a gathered batch can stand in for this class's sequential
     /// row-path probe — the exact condition the sequential
     /// [`probe_into`](ColorAccumulator::probe_into) row path requires: a
-    /// membership bitset (pruned backend), a stored row at every port, and
-    /// every row shorter than the member-path crossover.
+    /// membership bitset (pruned backend), a stored row, and a row shorter
+    /// than the member-path crossover.
     fn batch_applies(&self, batch: &ProbeBatch) -> bool {
-        self.in_class.is_some()
-            && batch.valid
-            && batch.row_len[..self.ports]
-                .iter()
-                .all(|&len| len < self.members.len().saturating_mul(12))
+        self.in_class.is_some() && batch.row_len.is_some_and(|len| self.row_walk_pays(len))
     }
 
     /// The feasibility threshold at `gain` and the one-sided early-reject
@@ -965,22 +897,18 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     }
 
     /// The member-side half of an insertion attempt: given the candidate's
-    /// probed per-port sums and drop counts, checks the candidate's own SINR
+    /// probed per-port sums and drop count, checks the candidate's own SINR
     /// and every member's updated SINR against `threshold`, and commits on
     /// acceptance. Returns `true` on success; on failure the members and
     /// sums are left untouched, and a member that rejected becomes the
     /// witness.
-    fn admit_with_candidate(
-        &mut self,
-        i: usize,
-        threshold: f64,
-        cand: [f64; MAX_PORTS],
-        cand_drops: [u32; MAX_PORTS],
-    ) -> bool {
+    fn admit_with_candidate(&mut self, i: usize, threshold: f64, cand: Candidate) -> bool {
         let noise = self.system.noise();
+        let (sums, drops) = cand;
+        let pad = self.pad(i, drops);
         let mut padded = [0.0f64; MAX_PORTS];
-        for (port, slot) in padded.iter_mut().enumerate().take(self.ports) {
-            *slot = cand[port] + self.pad(i, port, cand_drops[port]);
+        for (slot, &sum) in padded.iter_mut().zip(&sums).take(self.ports) {
+            *slot = sum + pad;
         }
         if !check(
             self.system.signal(i),
@@ -996,7 +924,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
                 return false;
             }
         }
-        self.commit(i, cand, cand_drops);
+        self.commit(i, cand);
         true
     }
 
@@ -1007,13 +935,20 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     #[inline]
     fn member_check(&self, pos: usize, j: usize, i: usize, threshold: f64, noise: f64) -> bool {
         let mut padded = [0.0f64; MAX_PORTS];
+        let mut drops = self.drops[pos];
         for (port, slot) in padded.iter_mut().enumerate().take(self.ports) {
-            let idx = pos * self.ports + port;
-            let (add, extra) = match self.system.stored_contribution(j, port, i) {
-                Some(v) => (v, 0),
-                None => (0.0, 1),
-            };
-            *slot = self.sums[idx] + add + self.pad(j, port, self.drops[idx] + extra);
+            *slot = self.sums[pos * self.ports + port]
+                + match self.system.stored_contribution(j, port, i) {
+                    Some(v) => v,
+                    None => {
+                        drops += 1;
+                        0.0
+                    }
+                };
+        }
+        let pad = self.pad(j, drops);
+        for slot in &mut padded[..self.ports] {
+            *slot += pad;
         }
         check(
             self.system.signal(j),
@@ -1033,8 +968,8 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// for an item no existing class accepts, mirroring first-fit, and to
     /// rebuild state from an existing — possibly infeasible — set).
     pub fn insert_unchecked(&mut self, i: usize) {
-        let (cand, cand_drops) = self.probe_full(i);
-        self.commit(i, cand, cand_drops);
+        let cand = self.probe_full(i);
+        self.commit(i, cand);
     }
 
     /// Removes member `i` from the class, subtracting its contributions from
@@ -1073,7 +1008,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         };
         let start = pos * self.ports;
         self.sums.drain(start..start + self.ports);
-        self.drops.drain(start..start + self.ports);
+        self.drops.remove(pos);
         if let Some(bits) = &mut self.in_class {
             bits[i / 64] &= !(1u64 << (i % 64));
         }
@@ -1087,7 +1022,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
                         // ill-defined; fall back to an exact rebuild below.
                         needs_exact = true;
                     }
-                    None => self.drops[p * self.ports + port] -= 1,
+                    None => self.drops[p] -= 1,
                 }
             }
         }
@@ -1115,8 +1050,8 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         }
         self.removals = 0;
         for &i in &members {
-            let (cand, cand_drops) = self.probe_full(i);
-            self.commit(i, cand, cand_drops);
+            let cand = self.probe_full(i);
+            self.commit(i, cand);
         }
         let mut drift = 0.0f64;
         for (&o, &n) in old.iter().zip(&self.sums) {
@@ -1129,29 +1064,29 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         drift
     }
 
-    /// Adds `i` as a member with pre-computed candidate sums and drop
-    /// counts, updating every existing member's running sums (or their drop
-    /// counts, when the backend pruned the new pair).
-    fn commit(&mut self, i: usize, cand: [f64; MAX_PORTS], cand_drops: [u32; MAX_PORTS]) {
+    /// Adds `i` as a member with its pre-computed candidate sums and drop
+    /// count, updating every existing member's running sums (or its drop
+    /// count, when the backend pruned the new pair).
+    fn commit(&mut self, i: usize, (sums, drops): Candidate) {
         for (pos, &j) in self.members.iter().enumerate() {
             for port in 0..self.ports {
                 match self.system.stored_contribution(j, port, i) {
                     Some(v) => self.sums[pos * self.ports + port] += v,
-                    None => self.drops[pos * self.ports + port] += 1,
+                    None => self.drops[pos] += 1,
                 }
             }
         }
         self.members.push(i);
-        self.sums.extend_from_slice(&cand[..self.ports]);
-        self.drops.extend_from_slice(&cand_drops[..self.ports]);
+        self.sums.extend_from_slice(&sums[..self.ports]);
+        self.drops.push(drops);
         if let Some(bits) = &mut self.in_class {
             bits[i / 64] |= 1u64 << (i % 64);
         }
     }
 }
 
-/// A flat row-major cache of all pairwise interference contributions of an
-/// [`IncrementalSystem`], plus its signals, noise and gain.
+/// A flat row-major cache of all pairwise interference contributions of a
+/// [`GainBackend`], plus its signals, noise and gain.
 ///
 /// Built once per (instance, power assignment, variant), the matrix is a
 /// self-contained interference system: every later contribution query is an
@@ -1171,11 +1106,11 @@ pub struct GainMatrix {
 }
 
 impl GainMatrix {
-    /// Computes the full contribution matrix of `system`.
+    /// Computes the full contribution matrix of `system`, serially.
     ///
     /// Runs in `O(ports · n²)` time and allocates
     /// [`bytes_for`](GainMatrix::bytes_for) bytes.
-    pub fn build<S: IncrementalSystem + ?Sized>(system: &S) -> Self {
+    pub fn build<S: GainBackend + ?Sized>(system: &S) -> Self {
         let n = system.len();
         let ports = system.num_ports();
         assert!(
@@ -1194,61 +1129,6 @@ impl GainMatrix {
                 }
             }
         }
-        let signals = (0..n).map(|i| system.signal(i)).collect();
-        Self {
-            n,
-            ports,
-            beta: system.beta(),
-            noise: system.noise(),
-            signals,
-            data,
-        }
-    }
-
-    /// [`build`](GainMatrix::build) with the row construction fanned out over
-    /// `threads` scoped worker threads, each filling a contiguous chunk of
-    /// whole item rows. Every cell is computed by the same expression as the
-    /// serial build and lands at the same offset, so the result is bit-for-bit
-    /// identical regardless of `threads` (pinned by a unit test).
-    ///
-    /// `threads <= 1` falls back to the serial build.
-    pub fn build_with_threads<S: IncrementalSystem + Sync + ?Sized>(
-        system: &S,
-        threads: usize,
-    ) -> Self {
-        let n = system.len();
-        if threads <= 1 || n == 0 {
-            return Self::build(system);
-        }
-        let ports = system.num_ports();
-        assert!(
-            (1..=MAX_PORTS).contains(&ports),
-            "systems must expose between 1 and {MAX_PORTS} ports, got {ports}"
-        );
-        let per_item = ports * n;
-        let mut data = vec![0.0f64; n * per_item];
-        let chunk_items = n.div_ceil(threads);
-        // A panicking worker propagates when the scope joins it, so no
-        // explicit join handling is needed.
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in data.chunks_mut(chunk_items * per_item).enumerate() {
-                let first = chunk_idx * chunk_items;
-                scope.spawn(move || {
-                    for (offset, item_rows) in chunk.chunks_mut(per_item).enumerate() {
-                        let i = first + offset;
-                        for (port, row) in item_rows.chunks_mut(n).enumerate() {
-                            for (j, slot) in row.iter_mut().enumerate() {
-                                *slot = if j == i {
-                                    0.0
-                                } else {
-                                    system.contribution(i, port, j)
-                                };
-                            }
-                        }
-                    }
-                });
-            }
-        });
         let signals = (0..n).map(|i| system.signal(i)).collect();
         Self {
             n,
@@ -1319,7 +1199,10 @@ impl InterferenceSystem for GainMatrix {
     }
 }
 
-impl IncrementalSystem for GainMatrix {
+// The dense matrix stores every contribution: it is the exact reference
+// backend, with the pruning hooks at their no-op defaults. Only the
+// candidate fold is overridden, for speed, not semantics.
+impl GainBackend for GainMatrix {
     fn num_ports(&self) -> usize {
         self.ports
     }
@@ -1335,12 +1218,7 @@ impl IncrementalSystem for GainMatrix {
     fn noise(&self) -> f64 {
         self.noise
     }
-}
 
-// The dense matrix stores every contribution: it is the exact reference
-// backend, with all `GainBackend` pruning hooks at their no-op defaults.
-// Only the candidate fold is overridden, for speed, not semantics.
-impl GainBackend for GainMatrix {
     fn fold_candidate(
         &self,
         i: usize,
@@ -1348,7 +1226,7 @@ impl GainBackend for GainMatrix {
         members: &[usize],
         limit_hi: f64,
         acc: &mut [f64; MAX_PORTS],
-        dropped: &mut [u32; MAX_PORTS],
+        dropped: &mut u32,
     ) -> bool {
         // Every pair is stored, so `dropped` is never touched. Each port's
         // fold walks one contiguous row with gathered loads, adding in member
@@ -1385,7 +1263,7 @@ impl<'e, 'a, M: MetricSpace> VariantView<'e, 'a, M> {
     /// request `i` — the single source of truth for the per-variant
     /// interference convention: the interferer's *sender*-to-receiver loss
     /// in the directed variant, the *closest-endpoint* loss in the
-    /// bidirectional one. [`IncrementalSystem::contribution`] is
+    /// bidirectional one. [`GainBackend::contribution`] is
     /// `received_strength(p_j, effective_loss)`, and the power-control
     /// fixed point caches exactly these values.
     ///
@@ -1414,7 +1292,9 @@ impl<'e, 'a, M: MetricSpace> VariantView<'e, 'a, M> {
     }
 }
 
-impl<'e, 'a, M: MetricSpace> IncrementalSystem for VariantView<'e, 'a, M> {
+// On-the-fly contributions are computed exactly from the metric — the
+// un-cached exact backend.
+impl<'e, 'a, M: MetricSpace> GainBackend for VariantView<'e, 'a, M> {
     fn num_ports(&self) -> usize {
         match self.variant() {
             Variant::Directed => 1,
@@ -1440,11 +1320,9 @@ impl<'e, 'a, M: MetricSpace> IncrementalSystem for VariantView<'e, 'a, M> {
     }
 }
 
-// On-the-fly contributions are computed exactly from the metric — the
-// un-cached exact backend.
-impl<'e, 'a, M: MetricSpace> GainBackend for VariantView<'e, 'a, M> {}
-
-impl<'a, M: MetricSpace> IncrementalSystem for NodeLossEvaluator<'a, M> {
+// Node-loss contributions are computed exactly from the metric — an exact
+// backend.
+impl<'a, M: MetricSpace> GainBackend for NodeLossEvaluator<'a, M> {
     fn num_ports(&self) -> usize {
         1
     }
@@ -1466,10 +1344,6 @@ impl<'a, M: MetricSpace> IncrementalSystem for NodeLossEvaluator<'a, M> {
         self.params().noise()
     }
 }
-
-// Node-loss contributions are computed exactly from the metric — an exact
-// backend.
-impl<'a, M: MetricSpace> GainBackend for NodeLossEvaluator<'a, M> {}
 
 #[cfg(test)]
 mod tests {
@@ -1809,35 +1683,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matrix_build_is_bit_for_bit_identical_to_serial() {
-        let inst = mixed_instance();
-        let params = SinrParams::with_noise(2.5, 0.5, 0.01).unwrap();
-        for power in ObliviousPower::standard_assignments() {
-            let eval = inst.evaluator(params, &power);
-            for variant in Variant::all() {
-                let view = eval.view(variant);
-                let serial = GainMatrix::build(&view);
-                for threads in [1usize, 2, 3, 8] {
-                    let threaded = GainMatrix::build_with_threads(&view, threads);
-                    for i in 0..inst.len() {
-                        for port in 0..view.num_ports() {
-                            let s: Vec<u64> =
-                                serial.row(i, port).iter().map(|v| v.to_bits()).collect();
-                            let t: Vec<u64> =
-                                threaded.row(i, port).iter().map(|v| v.to_bits()).collect();
-                            assert_eq!(
-                                s, t,
-                                "row ({i}, {port}) diverged at {threads} threads ({variant})"
-                            );
-                        }
-                        assert_eq!(serial.signal(i).to_bits(), threaded.signal(i).to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn reset_for_matches_a_fresh_accumulator() {
         let inst = mixed_instance();
         let params = SinrParams::new(3.0, 1.0).unwrap();
@@ -1873,6 +1718,101 @@ mod tests {
         );
     }
 
+    /// Forwards to a dense matrix but reports `exact` from
+    /// [`is_exact`](GainBackend::is_exact): with `exact == false`, a pruned
+    /// backend that keeps the matrix's two ports per bidirectional request.
+    struct Claims<'a> {
+        inner: &'a GainMatrix,
+        exact: bool,
+    }
+
+    impl InterferenceSystem for Claims<'_> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn sinr(&self, i: usize, others: &[usize]) -> f64 {
+            self.inner.sinr(i, others)
+        }
+
+        fn beta(&self) -> f64 {
+            self.inner.beta()
+        }
+    }
+
+    impl GainBackend for Claims<'_> {
+        fn num_ports(&self) -> usize {
+            self.inner.num_ports()
+        }
+
+        fn contribution(&self, i: usize, port: usize, j: usize) -> f64 {
+            self.inner.contribution(i, port, j)
+        }
+
+        fn signal(&self, i: usize) -> f64 {
+            self.inner.signal(i)
+        }
+
+        fn noise(&self) -> f64 {
+            self.inner.noise()
+        }
+
+        fn is_exact(&self) -> bool {
+            self.exact
+        }
+    }
+
+    fn bidirectional_matrix() -> GainMatrix {
+        let inst = mixed_instance();
+        let eval = inst.evaluator(
+            SinrParams::new(3.0, 1.0).unwrap(),
+            &ObliviousPower::SquareRoot,
+        );
+        eval.view(Variant::Bidirectional).cached()
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per request")]
+    fn new_refuses_a_pruned_backend_with_two_ports() {
+        let matrix = bidirectional_matrix();
+        let _ = ColorAccumulator::new(&Claims {
+            inner: &matrix,
+            exact: false,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per request")]
+    fn reset_for_refuses_a_pruned_backend_with_two_ports() {
+        let matrix = bidirectional_matrix();
+        let exact = Claims {
+            inner: &matrix,
+            exact: true,
+        };
+        let pruned = Claims {
+            inner: &matrix,
+            exact: false,
+        };
+        let mut acc = ColorAccumulator::new(&exact);
+        acc.reset_for(&pruned);
+    }
+
+    #[test]
+    fn an_exact_backend_may_keep_two_ports() {
+        // The negative control of the two refusals above: the same wrapper,
+        // reporting exact, is accepted by both entry points.
+        let matrix = bidirectional_matrix();
+        let exact = Claims {
+            inner: &matrix,
+            exact: true,
+        };
+        assert_eq!(exact.num_ports(), 2);
+        let mut acc = ColorAccumulator::new(&exact);
+        assert!(acc.try_insert(0));
+        acc.reset_for(&exact);
+        assert!(acc.is_empty() && acc.try_insert(1));
+    }
+
     /// Forwards every call to `inner` and counts the
     /// [`stored_contribution`](GainBackend::stored_contribution) calls: the
     /// member-side lookups of an insertion attempt. Candidate probes go
@@ -1896,7 +1836,7 @@ mod tests {
         }
     }
 
-    impl<S: IncrementalSystem> IncrementalSystem for Counting<'_, S> {
+    impl<S: GainBackend> GainBackend for Counting<'_, S> {
         fn num_ports(&self) -> usize {
             self.inner.num_ports()
         }
@@ -1912,16 +1852,14 @@ mod tests {
         fn noise(&self) -> f64 {
             self.inner.noise()
         }
-    }
 
-    impl<S: GainBackend> GainBackend for Counting<'_, S> {
         fn stored_contribution(&self, i: usize, port: usize, j: usize) -> Option<f64> {
             self.lookups.set(self.lookups.get() + 1);
             self.inner.stored_contribution(i, port, j)
         }
 
-        fn stored_row(&self, i: usize, port: usize) -> Option<RowRef<'_>> {
-            self.inner.stored_row(i, port)
+        fn stored_row(&self, i: usize) -> Option<RowRef<'_>> {
+            self.inner.stored_row(i)
         }
 
         fn fold_candidate(
@@ -1931,18 +1869,14 @@ mod tests {
             members: &[usize],
             limit_hi: f64,
             acc: &mut [f64; MAX_PORTS],
-            dropped: &mut [u32; MAX_PORTS],
+            dropped: &mut u32,
         ) -> bool {
             self.inner
                 .fold_candidate(i, ports, members, limit_hi, acc, dropped)
         }
 
-        fn pruned_cap(&self, i: usize, port: usize) -> f64 {
-            self.inner.pruned_cap(i, port)
-        }
-
-        fn pruned_mass(&self, i: usize, port: usize) -> f64 {
-            self.inner.pruned_mass(i, port)
+        fn pad(&self, i: usize, dropped: u32) -> f64 {
+            self.inner.pad(i, dropped)
         }
 
         fn is_exact(&self) -> bool {

@@ -15,10 +15,11 @@
 //!   near-field runts and whole far-away (super)tiles, bounded through the
 //!   grid aggregates without ever being computed — is *dropped*;
 //! * what was dropped is **conservatively accounted**: the row tracks the
-//!   total dropped mass and the largest single dropped contribution, and the
-//!   [`ColorAccumulator`](super::ColorAccumulator) adds
-//!   `min(total mass, dropped members · largest)` back onto its running sums
-//!   before any feasibility comparison.
+//!   total dropped mass and the largest single dropped contribution, and its
+//!   [`pad`](super::GainBackend::pad) for `d` pruned class members is the
+//!   smaller of the total mass and `d` times the largest, which the
+//!   [`ColorAccumulator`](super::ColorAccumulator) adds back onto its running
+//!   sums before any feasibility comparison.
 //!
 //! The result is the engine's third tier (naive → dense incremental →
 //! sparse pruned): `O(n)` memory at fixed density and cutoff, verdicts that
@@ -41,8 +42,11 @@
 //! extra colors on instances where the two endpoints hear very different
 //! interferers. Directed requests have one port, so their rows are exact.
 //! Both sparse tiers report one port
-//! ([`num_ports`](super::IncrementalSystem::num_ports) is `1`) and ignore
-//! the `port` argument of the engine's hooks.
+//! ([`num_ports`](super::GainBackend::num_ports) is `1`) and ignore the
+//! `port` argument of the engine's hooks. One row per request is also what
+//! the engine asks of a pruned backend: the accumulator keeps one
+//! pruned-member count per class member and asks one
+//! [`pad`](super::GainBackend::pad) per row.
 //!
 //! All stored values and dropped masses are inflated by a relative `1e-12`
 //! so that the conservativeness guarantee survives the
@@ -88,7 +92,7 @@
 //! # Ok::<(), oblisched_sinr::SinrError>(())
 //! ```
 
-use super::{item_id, GainBackend, IncrementalSystem, RowRef};
+use super::{item_id, GainBackend, RowRef};
 use crate::error::SinrError;
 use crate::feasibility::{InterferenceSystem, VariantView};
 use oblisched_metric::{MetricSpace, PlanarMetric};
@@ -164,9 +168,8 @@ pub struct SparseGainMatrix {
     /// CSR rows in structure-of-arrays form: row `i` is
     /// `cols[offsets[i]..offsets[i + 1]]` (sorted interferer indices) with
     /// its values in the parallel range of `vals`. The split packs twice as
-    /// many indices per cache line as the former interleaved
-    /// `Vec<SparseEntry>` and drops the per-entry footprint from 16 to 12
-    /// bytes (no padding).
+    /// many indices per cache line as interleaved `(index, value)` entries
+    /// and drops the per-entry footprint from 16 to 12 bytes (no padding).
     offsets: Vec<usize>,
     cols: Vec<u32>,
     vals: Vec<f64>,
@@ -316,14 +319,14 @@ impl InterferenceSystem for SparseGainMatrix {
     }
 }
 
-impl IncrementalSystem for SparseGainMatrix {
+impl GainBackend for SparseGainMatrix {
     /// One row per request (see the [module docs](self)).
     fn num_ports(&self) -> usize {
         1
     }
 
     /// The stored contribution, or `0.0` for pruned pairs — the engine adds
-    /// the dropped-mass pad separately through the [`GainBackend`] hooks.
+    /// the dropped-mass [`pad`](GainBackend::pad) separately.
     fn contribution(&self, i: usize, port: usize, j: usize) -> f64 {
         self.stored_contribution(i, port, j).unwrap_or(0.0)
     }
@@ -335,9 +338,7 @@ impl IncrementalSystem for SparseGainMatrix {
     fn noise(&self) -> f64 {
         self.core.params.noise()
     }
-}
 
-impl GainBackend for SparseGainMatrix {
     fn stored_contribution(&self, i: usize, _port: usize, j: usize) -> Option<f64> {
         if j == i {
             return Some(0.0);
@@ -345,16 +346,12 @@ impl GainBackend for SparseGainMatrix {
         self.row(i).get(item_id(j))
     }
 
-    fn stored_row(&self, i: usize, _port: usize) -> Option<RowRef<'_>> {
+    fn stored_row(&self, i: usize) -> Option<RowRef<'_>> {
         Some(self.row(i))
     }
 
-    fn pruned_cap(&self, i: usize, _port: usize) -> f64 {
-        self.pads[i].cap
-    }
-
-    fn pruned_mass(&self, i: usize, _port: usize) -> f64 {
-        self.pads[i].mass
+    fn pad(&self, i: usize, dropped: u32) -> f64 {
+        self.pads[i].bound(dropped)
     }
 
     fn is_exact(&self) -> bool {

@@ -9,8 +9,9 @@
 //! conservativeness guarantee ("never accept a set the naive evaluator
 //! rejects") must hold at **every** intermediate state, not just after a
 //! batch build. [`SparseChurnMatrix`] provides that with the same core —
-//! one geometry, one grid, one row builder, one pad type — and its own row
-//! store:
+//! one geometry, one grid, one row builder, one pad type and pad rule (the
+//! engine's [`pad`](GainBackend::pad) hook reads it through one row borrow)
+//! — and its own row store:
 //!
 //! * the **spatial grid** (tile membership, positions, powers) is built once
 //!   over the whole universe, and the tile and supertile aggregates the
@@ -79,7 +80,7 @@ use std::cell::RefCell;
 
 use super::prune::{Aggregates, BuiltRow, Pads, Scratch, SparseCore};
 use super::SparseConfig;
-use crate::engine::{item_id, item_index, GainBackend, IncrementalSystem, MAX_PORTS};
+use crate::engine::{item_id, item_index, GainBackend, MAX_PORTS};
 use crate::feasibility::{InterferenceSystem, VariantView};
 use oblisched_metric::{MetricSpace, PlanarMetric};
 
@@ -170,8 +171,9 @@ struct RowStore {
 /// [`note_departure`](GainBackend::note_departure) hooks — the dynamic
 /// schedulers in the core crate invoke them around each insert/remove. All
 /// queries
-/// (`stored_contribution`, `pruned_mass`, [`sinr`](InterferenceSystem::sinr))
-/// are only meaningful for **live** items; rows materialise on first query
+/// (`stored_contribution`, [`pad`](GainBackend::pad),
+/// [`sinr`](InterferenceSystem::sinr)) are only meaningful for **live**
+/// items; rows materialise on first query
 /// behind a `RefCell`, so the type is deliberately not `Sync`.
 ///
 /// See the [module docs](self) for the incremental-maintenance and
@@ -411,14 +413,14 @@ impl InterferenceSystem for SparseChurnMatrix {
     }
 }
 
-impl IncrementalSystem for SparseChurnMatrix {
+impl GainBackend for SparseChurnMatrix {
     /// One row per request (see the [sparse module docs](super)).
     fn num_ports(&self) -> usize {
         1
     }
 
     /// The stored contribution, or `0.0` for pruned pairs — the engine adds
-    /// the dropped-mass pad separately through the [`GainBackend`] hooks.
+    /// the dropped-mass [`pad`](GainBackend::pad) separately.
     fn contribution(&self, i: usize, port: usize, j: usize) -> f64 {
         self.stored_contribution(i, port, j).unwrap_or(0.0)
     }
@@ -430,9 +432,7 @@ impl IncrementalSystem for SparseChurnMatrix {
     fn noise(&self) -> f64 {
         self.core.params.noise()
     }
-}
 
-impl GainBackend for SparseChurnMatrix {
     /// The stored live contribution of `j` to `i` — `None` both for pruned
     /// live pairs (covered by the dropped-mass pad) and for dead interferers
     /// (which contribute nothing and are never stored).
@@ -455,10 +455,10 @@ impl GainBackend for SparseChurnMatrix {
         members: &[usize],
         limit_hi: f64,
         acc: &mut [f64; MAX_PORTS],
-        dropped: &mut [u32; MAX_PORTS],
+        dropped: &mut u32,
     ) -> bool {
         let row = self.row_ref(i);
-        let (sum, drops) = (&mut acc[0], &mut dropped[0]);
+        let sum = &mut acc[0];
         for &j in members {
             let stored = if j == i {
                 Some(0.0)
@@ -467,7 +467,7 @@ impl GainBackend for SparseChurnMatrix {
             };
             match stored {
                 Some(v) => *sum += v,
-                None => *drops += 1,
+                None => *dropped += 1,
             }
             if *sum > limit_hi {
                 return false;
@@ -476,12 +476,10 @@ impl GainBackend for SparseChurnMatrix {
         true
     }
 
-    fn pruned_cap(&self, i: usize, _port: usize) -> f64 {
-        self.row_ref(i).pads.cap
-    }
-
-    fn pruned_mass(&self, i: usize, _port: usize) -> f64 {
-        self.row_ref(i).pads.mass
+    /// The pad rule of the shared pruning core, read through one row
+    /// borrow.
+    fn pad(&self, i: usize, dropped: u32) -> f64 {
+        self.row_ref(i).pads.bound(dropped)
     }
 
     fn is_exact(&self) -> bool {
@@ -524,6 +522,11 @@ mod tests {
             requests.push(Request::new(id, id + 1));
         }
         Instance::new(EuclideanSpace::from_points(points), requests).unwrap()
+    }
+
+    /// Row `i`'s pads, materialising the row if needed (so `i` must be live).
+    fn pads_of(m: &SparseChurnMatrix, i: usize) -> Pads {
+        m.row_ref(i).pads
     }
 
     /// Brute-force true dropped mass of row `i` over the live set: the sum
@@ -627,7 +630,7 @@ mod tests {
                     live.retain(|&x| x != item);
                 }
                 for &i in &live {
-                    let tracked = m.pruned_mass(i, 0);
+                    let tracked = pads_of(&m, i).mass;
                     let truth = true_pruned_mass(&m, &live, i);
                     assert!(
                         tracked >= truth,
@@ -665,13 +668,13 @@ mod tests {
         let mut last = f64::INFINITY;
         for cycle in 0..200 {
             m.note_departure(11);
-            let alone = m.pruned_mass(0, 0);
+            let alone = pads_of(&m, 0).mass;
             assert!(
                 alone >= 0.0,
                 "pad went negative after {cycle} cycles: {alone}"
             );
             m.note_arrival(11);
-            let tracked = m.pruned_mass(0, 0);
+            let tracked = pads_of(&m, 0).mass;
             let truth = true_pruned_mass(&m, &[0, 11], 0);
             assert!(
                 tracked >= truth,
@@ -713,7 +716,7 @@ mod tests {
                 }
                 // Touch every live row so patches (here: rebuilds) apply.
                 for &i in &live {
-                    let _ = patched.pruned_mass(i, 0);
+                    let _ = pads_of(&patched, i).mass;
                 }
                 // A fresh backend replaying only the *final* live set must
                 // agree bit-for-bit on every row: pads at interval 1 are a
@@ -724,13 +727,13 @@ mod tests {
                 }
                 for &i in &live {
                     assert_eq!(
-                        patched.pruned_mass(i, 0).to_bits(),
-                        fresh.pruned_mass(i, 0).to_bits(),
+                        pads_of(&patched, i).mass.to_bits(),
+                        pads_of(&fresh, i).mass.to_bits(),
                         "row {i} pad diverged from the pure rebuild under {variant}"
                     );
                     assert_eq!(
-                        patched.pruned_cap(i, 0).to_bits(),
-                        fresh.pruned_cap(i, 0).to_bits()
+                        pads_of(&patched, i).cap.to_bits(),
+                        pads_of(&fresh, i).cap.to_bits()
                     );
                 }
             }
@@ -757,7 +760,8 @@ mod tests {
             let never = SparseChurnMatrix::new(&view, &config).with_refresh_interval(usize::MAX);
             let timed = SparseChurnMatrix::new(&view, &config).with_refresh_interval(64);
             let pads = |m: &SparseChurnMatrix, i: usize| {
-                (m.pruned_mass(i, 0).to_bits(), m.pruned_cap(i, 0).to_bits())
+                let pads = pads_of(m, i);
+                (pads.mass.to_bits(), pads.cap.to_bits())
             };
             // Four anchors arrive first and stay, so their rows outlive the
             // 64-patch guard; the other eight toggle in and out.
@@ -802,8 +806,8 @@ mod tests {
         m.note_arrival(2);
         // Rows are lazy: nothing materialised until queried.
         assert_eq!(m.materialized_rows(), 0);
-        let _ = m.pruned_mass(0, 0);
-        let _ = m.pruned_mass(1, 0);
+        let _ = pads_of(&m, 0).mass;
+        let _ = pads_of(&m, 1).mass;
         assert_eq!(m.materialized_rows(), 2);
         m.note_departure(0);
         assert_eq!(m.materialized_rows(), 1);
@@ -851,6 +855,6 @@ mod tests {
         let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
         let view = eval.view(Variant::Bidirectional);
         let m = SparseChurnMatrix::new(&view, &SparseConfig::default());
-        let _ = m.pruned_mass(0, 0);
+        let _ = pads_of(&m, 0).mass;
     }
 }

@@ -15,7 +15,9 @@
 //!   aggregates and liveness the tier supplies;
 //! * [`Pads`] — a row's dropped-mass pad and cap, written only through
 //!   [`pad_absorb`](Pads::pad_absorb), [`pad_shed`](Pads::pad_shed) or an
-//!   in-statement `SAFETY` bound;
+//!   in-statement `SAFETY` bound, and read only through
+//!   [`bound`](Pads::bound), the one pad rule both tiers and the engine's
+//!   [`pad`](crate::engine::GainBackend::pad) hook answer with;
 //! * [`SparseCore::padded_sinr`] — the conservative SINR of one row.
 //!
 //! The tiers differ only in where their rows live: the batch tier builds
@@ -24,7 +26,7 @@
 //! patches them as requests arrive and depart.
 
 use super::SparseConfig;
-use crate::engine::{approx_f64, item_id, item_index, sinr_from_ports, SparseEntry};
+use crate::engine::{approx_f64, item_id, item_index, sinr_from_ports};
 use crate::feasibility::{Variant, VariantView};
 use crate::params::SinrParams;
 use oblisched_metric::{MetricSpace, PlanarMetric};
@@ -423,6 +425,26 @@ impl Pads {
         self.mass = (self.mass - inflated / (SAFETY * SAFETY)).max(0.0) * SAFETY;
         self.mass
     }
+
+    /// The pad of a row `dropped` of whose class members were pruned:
+    /// `0.0` at zero drops, otherwise `min(mass, dropped · cap)` — no more
+    /// than the row dropped in total, and no more than `dropped` of its
+    /// largest dropped contributions.
+    #[inline]
+    pub(super) fn bound(&self, dropped: u32) -> f64 {
+        if dropped == 0 {
+            0.0
+        } else {
+            self.mass.min(f64::from(dropped) * self.cap)
+        }
+    }
+}
+
+/// One stored (non-pruned) contribution of a freshly built row: the
+/// interferer index and its SAFETY-inflated contribution.
+pub(super) struct SparseEntry {
+    pub(super) j: u32,
+    pub(super) v: f64,
 }
 
 /// One freshly built row: the stored entries, sorted by interferer, and the
@@ -659,9 +681,9 @@ impl SparseCore {
     }
 
     /// The conservative SINR of `i` against `others` on one row: the stored
-    /// contributions `stored(j)` returns, plus — when some member was pruned
-    /// — `min(mass, pruned members · cap)` from `pads`. Never above the
-    /// exact SINR.
+    /// contributions `stored(j)` returns, plus the pad
+    /// [`bound`](Pads::bound) for the pruned members. Never above the exact
+    /// SINR.
     pub(super) fn padded_sinr(
         &self,
         i: usize,
@@ -680,10 +702,11 @@ impl SparseCore {
                 None => dropped += 1,
             }
         }
-        if dropped > 0 {
-            sum += pads.mass.min(f64::from(dropped) * pads.cap);
-        }
-        sinr_from_ports(self.signals[i], &[sum], self.params.noise())
+        sinr_from_ports(
+            self.signals[i],
+            &[sum + pads.bound(dropped)],
+            self.params.noise(),
+        )
     }
 
     /// Heap footprint in bytes of the per-item geometry and the grid.

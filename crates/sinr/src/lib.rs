@@ -61,9 +61,7 @@ pub mod request;
 pub mod schedule;
 
 pub use engine::sparse::{SparseChurnMatrix, SparseConfig, SparseGainMatrix};
-pub use engine::{
-    ColorAccumulator, GainBackend, GainMatrix, IncrementalSystem, ProbeBatch, NO_COLOR,
-};
+pub use engine::{ColorAccumulator, GainBackend, GainMatrix, ProbeBatch, NO_COLOR};
 pub use error::SinrError;
 pub use feasibility::{Evaluator, InterferenceSystem, Variant};
 pub use gain::{extract_feasible_subset, partition_by_gain, rescale_coloring};

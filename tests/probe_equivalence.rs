@@ -72,8 +72,11 @@ fn assert_batched_matches<S: GainBackend + ?Sized>(
 }
 
 /// The tier equivalence both sparse tiers' shared row builder rests on: with
-/// every request live, each churn row holds the batch row's stored values,
-/// dropped mass and dropped cap bit for bit, and no entry more.
+/// every request live, each churn row holds the batch row's stored values
+/// and pads bit for bit, and no entry more. The pads are read through the
+/// engine's `pad` hook at one, two and `u32::MAX` pruned members: with every
+/// request live a row's cap never exceeds its mass, so one drop reads the
+/// cap and `u32::MAX` drops read the mass.
 fn assert_tiers_agree(view: &VariantView<'_, '_, EuclideanSpace<2>>, config: &SparseConfig) {
     let sparse = SparseGainMatrix::build(view, config);
     let churn = SparseChurnMatrix::new(view, config);
@@ -90,10 +93,13 @@ fn assert_tiers_agree(view: &VariantView<'_, '_, EuclideanSpace<2>>, config: &Sp
                 "{at}, column {j}"
             );
         }
-        let mass = (churn.pruned_mass(i, 0), sparse.pruned_mass(i, 0));
-        assert_eq!(mass.0.to_bits(), mass.1.to_bits(), "pruned mass of {at}");
-        let cap = (churn.pruned_cap(i, 0), sparse.pruned_cap(i, 0));
-        assert_eq!(cap.0.to_bits(), cap.1.to_bits(), "pruned cap of {at}");
+        for dropped in [1, 2, u32::MAX] {
+            assert_eq!(
+                churn.pad(i, dropped).to_bits(),
+                sparse.pad(i, dropped).to_bits(),
+                "pad of {at} at {dropped} pruned members"
+            );
+        }
     }
     assert_eq!(churn.stored_entries(), sparse.stored_entries());
 }
