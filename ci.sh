@@ -114,6 +114,14 @@ rm -f "$load_out"
 wait "$server_pid"
 rm -rf "$server_dir" "$server_log"
 
+echo "==> end-to-end benchmark as a correctness check (session_small, 1 s)"
+# Drives the real daemon through every session verb and through solves,
+# checks each answer against an in-process replay, SIGKILLs and restarts
+# the daemon, and runs a negative control; only its verdict is read here,
+# not its timings. Builds into the root target directory.
+CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py --workload session_small --seed 1 \
+  --seconds 1 --trace 0 | tail -1 | grep -q '"correct": true'
+
 echo "==> experiment E10 (churn: incremental vs full reschedule)"
 # E10 validates the final dynamic state against the naive evaluator and
 # asserts incremental maintenance is >= 3x faster than full reschedules on

@@ -12,6 +12,7 @@ use oblisched::scheduler::{
 use oblisched::solve::BackendPolicy;
 use oblisched_instances::{ChurnEvent, ChurnTrace};
 use oblisched_metric::EuclideanSpace;
+use oblisched_server::session::fingerprint64;
 use oblisched_sinr::{GainBackend, Instance, ObliviousPower, SinrParams, Variant};
 
 /// Replays a trace through the dynamic scheduler (one `insert`/`remove` per
@@ -91,35 +92,9 @@ where
     S: GainBackend + ?Sized,
     St: SessionStore,
 {
-    replay_durable_with(system, trace, config, checkpoint_every, store, |_, _| {})
-}
-
-/// [`replay_durable`] with a hook called after every applied event, mirroring
-/// [`replay_incremental_with`].
-///
-/// # Errors
-///
-/// Same contract as [`replay_durable`].
-///
-/// # Panics
-///
-/// Same contract as [`replay_durable`].
-pub fn replay_durable_with<'s, S, St, F>(
-    system: &'s S,
-    trace: &ChurnTrace,
-    config: DynamicConfig,
-    checkpoint_every: usize,
-    store: St,
-    mut on_event: F,
-) -> Result<DurableScheduler<'s, S, St>, DurabilityError>
-where
-    S: GainBackend + ?Sized,
-    St: SessionStore,
-    F: FnMut(&DurableScheduler<'s, S, St>, usize),
-{
     let mut session = DurableScheduler::create(system, config, checkpoint_every, store)?;
     let mut ids = vec![None; trace.universe];
-    for (index, event) in trace.events.iter().enumerate() {
+    for event in &trace.events {
         match *event {
             ChurnEvent::Arrive(i) => {
                 ids[i] = Some(session.insert(i)?);
@@ -129,7 +104,6 @@ where
                 session.remove(id)?;
             }
         }
-        on_event(&session, index);
     }
     Ok(session)
 }
@@ -234,14 +208,17 @@ pub fn sparse_churn_outcome(
         backend_bytes <= DEFAULT_MATRIX_BUDGET,
         "sparse session backend grew past the engine budget: {backend_bytes} bytes"
     );
-    let schedule_fingerprint =
-        crate::perf::fingerprint64(sched.color_classes().into_iter().enumerate().flat_map(
-            |(color, class)| {
+    let schedule_fingerprint = fingerprint64(
+        sched
+            .color_classes()
+            .into_iter()
+            .enumerate()
+            .flat_map(|(color, class)| {
                 class
                     .into_iter()
                     .flat_map(move |item| [item as u64, color as u64])
-            },
-        ));
+            }),
+    );
     SparseChurnOutcome {
         universe: trace.universe,
         events: trace.len(),
@@ -269,20 +246,9 @@ mod tests {
         let eval = instance.evaluator(params, &ObliviousPower::SquareRoot);
         let view = eval.view(Variant::Bidirectional);
         let config = DynamicConfig::default();
-        let mut checked = 0usize;
-        let session = replay_durable_with(
-            &view,
-            &trace,
-            config,
-            7,
-            MemoryStore::new(),
-            |session, index| {
-                assert!(session.next_seq() > index as u64);
-                checked += 1;
-            },
-        )
-        .unwrap();
-        assert_eq!(checked, trace.len());
+        let session = replay_durable(&view, &trace, config, 7, MemoryStore::new()).unwrap();
+        // Every event logged at least its own record.
+        assert!(session.next_seq() >= trace.len() as u64);
         let expected = replay_incremental(&view, &trace).export_state();
         assert_eq!(session.scheduler().export_state(), expected);
         assert!(session.snapshots_written() > (trace.len() / 7) as u64);

@@ -3,7 +3,7 @@
 //! The paper *Oblivious Interference Scheduling* is a theory paper without an
 //! experimental section; its "evaluation" is the set of quantitative claims
 //! made by its theorems. This crate regenerates each of those claims as a
-//! table (experiments E1–E8, see `DESIGN.md` and `EXPERIMENTS.md`), plus the
+//! table (experiments E1–E8; the repository README lists E1–E11), plus the
 //! E9–E11 measurements of the engine tiers (incremental engine vs naive
 //! evaluator, dynamic churn, dense vs sparse vs parallel-sparse), whose
 //! speedup floors they assert, and the pinned perf suite behind the CI
@@ -23,8 +23,7 @@ pub mod table;
 pub mod tiers;
 
 pub use churn::{
-    replay_durable, replay_durable_with, replay_full_reschedule, replay_incremental,
-    replay_incremental_with,
+    replay_durable, replay_full_reschedule, replay_incremental, replay_incremental_with,
 };
 pub use experiments::{all_experiments, run_experiment, Experiment};
 pub use perf::{run_suite, PerfCase, PerfReport};

@@ -582,29 +582,42 @@ impl<'s, S: GainBackend + ?Sized, St: SessionStore> DurableScheduler<'s, S, St> 
     /// rejecting a recovery whose stored configuration differs from the
     /// requested one.
     ///
+    /// `None` means the default ([`DynamicConfig::default`],
+    /// [`DEFAULT_CHECKPOINT_EVERY`]) when creating, and the stored value when
+    /// recovering; a requested cadence replaces the stored one.
+    ///
     /// # Errors
     ///
     /// [`DurabilityError::ConfigMismatch`] when an existing session runs
-    /// under a different [`DynamicConfig`]; otherwise the errors of
-    /// [`create`](DurableScheduler::create) /
+    /// under a different [`DynamicConfig`] than a requested one; otherwise
+    /// the errors of [`create`](DurableScheduler::create) /
     /// [`recover`](DurableScheduler::recover).
+    ///
+    /// # Panics
+    ///
+    /// Like [`create`](DurableScheduler::create) when it creates.
     pub fn open(
         system: &'s S,
-        config: DynamicConfig,
-        checkpoint_every: usize,
+        config: Option<DynamicConfig>,
+        checkpoint_every: Option<usize>,
         store: St,
     ) -> Result<Self, DurabilityError> {
         if store.load_snapshot()?.is_none() {
-            return Self::create(system, config, checkpoint_every, store);
+            return Self::create(
+                system,
+                config.unwrap_or_default(),
+                checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+                store,
+            );
         }
         let mut session = Self::recover(system, store)?;
-        if session.inner.config() != config {
-            return Err(DurabilityError::ConfigMismatch {
-                stored: session.inner.config(),
-                requested: config,
-            });
+        let stored = session.inner.config();
+        if let Some(requested) = config.filter(|&requested| requested != stored) {
+            return Err(DurabilityError::ConfigMismatch { stored, requested });
         }
-        session.checkpoint_every = checkpoint_every.max(1);
+        if let Some(every) = checkpoint_every {
+            session.checkpoint_every = every.max(1);
+        }
         Ok(session)
     }
 
@@ -788,7 +801,10 @@ mod tests {
         let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
         let view = eval.view(Variant::Bidirectional);
         let config = DynamicConfig::default();
-        let mut session = DurableScheduler::open(&view, config, 2, MemoryStore::new()).unwrap();
+        // Absent values are the defaults when creating...
+        let mut session = DurableScheduler::open(&view, None, None, MemoryStore::new()).unwrap();
+        assert_eq!(session.scheduler().config(), config);
+        assert_eq!(session.checkpoint_every(), DEFAULT_CHECKPOINT_EVERY);
         session.insert(0).unwrap();
         session.insert(3).unwrap();
         let expected = session.scheduler().export_state();
@@ -797,7 +813,7 @@ mod tests {
             recolor_budget: 1,
             ..config
         };
-        match DurableScheduler::open(&view, other, 2, store.clone()) {
+        match DurableScheduler::open(&view, Some(other), Some(2), store.clone()) {
             Err(DurabilityError::ConfigMismatch { stored, requested }) => {
                 assert_eq!(stored, config);
                 assert_eq!(requested, other);
@@ -805,9 +821,15 @@ mod tests {
             Ok(_) => panic!("expected ConfigMismatch, got a recovered session"),
             Err(e) => panic!("expected ConfigMismatch, got {e}"),
         }
-        let reopened = DurableScheduler::open(&view, config, 5, store).unwrap();
+        // ...a requested cadence replaces the stored one...
+        let mut reopened = DurableScheduler::open(&view, Some(config), Some(5), store).unwrap();
         assert_eq!(reopened.scheduler().export_state(), expected);
         assert_eq!(reopened.checkpoint_every(), 5);
+        // ...and absent values keep what the store holds.
+        reopened.checkpoint().unwrap();
+        let kept = DurableScheduler::open(&view, None, None, reopened.into_store()).unwrap();
+        assert_eq!(kept.scheduler().export_state(), expected);
+        assert_eq!(kept.checkpoint_every(), 5);
     }
 
     #[test]

@@ -134,16 +134,17 @@ impl DynamicConfig {
     /// # Errors
     ///
     /// A description of the first violated rule when `rebuild_interval` is
-    /// zero or `drift_tolerance` is not positive (NaN included).
+    /// zero or `drift_tolerance` is not positive and finite (NaN and +∞
+    /// included: neither survives a snapshot or a wire reply as JSON).
     pub fn validate(&self) -> Result<(), String> {
         if self.rebuild_interval < 1 {
             return Err("the rebuild interval must be at least 1".to_owned());
         }
-        if self.drift_tolerance > 0.0 {
+        if self.drift_tolerance > 0.0 && self.drift_tolerance.is_finite() {
             Ok(())
         } else {
             Err(format!(
-                "the drift tolerance must be positive, got {}",
+                "the drift tolerance must be positive and finite, got {}",
                 self.drift_tolerance
             ))
         }
@@ -342,7 +343,8 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
     /// # Panics
     ///
     /// Panics if `config` fails [`DynamicConfig::validate`]: a zero
-    /// `rebuild_interval` or a `drift_tolerance` that is not positive.
+    /// `rebuild_interval` or a `drift_tolerance` that is not positive and
+    /// finite.
     pub fn with_config(system: &'s S, config: DynamicConfig) -> Self {
         if let Err(reason) = config.validate() {
             panic!("{reason}");

@@ -330,8 +330,10 @@ impl Scheduler {
     /// # Errors
     ///
     /// * [`ScheduleError::Sinr`] with [`SinrError::InvalidParams`] — the
-    ///   sparse configuration, after the request's override, fails
-    ///   [`SparseConfig::validate`] (checked before any work),
+    ///   scheduler's parameters fail the checks of
+    ///   [`SinrParams::with_noise`] (parameters deserialized from data skip
+    ///   them), or the sparse configuration, after the request's override,
+    ///   fails [`SparseConfig::validate`] (both checked before any work),
     /// * [`ScheduleError::UnsupportedVariant`] — a `Sqrt*` strategy was
     ///   requested for the directed variant,
     /// * [`ScheduleError::ValidationFailed`] — a produced multi-request
@@ -346,6 +348,8 @@ impl Scheduler {
     where
         M: MetricSpace + PlanarMetric + Sync,
     {
+        let params = self.params;
+        SinrParams::with_noise(params.alpha(), params.beta(), params.noise())?;
         let mut eff = *self;
         eff.variant = request.variant;
         if let Some(budget) = request.matrix_budget {
@@ -356,10 +360,9 @@ impl Scheduler {
         }
         eff.sparse_config.validate()?;
         match request.strategy {
-            SolveStrategy::FirstFit => match request.backend {
-                BackendPolicy::Exact => eff.first_fit_exact(instance, request.assignment),
-                BackendPolicy::Auto => eff.first_fit_auto(instance, request.assignment),
-            },
+            SolveStrategy::FirstFit => {
+                eff.first_fit_impl(instance, request.assignment, request.backend)
+            }
             SolveStrategy::Parallel { num_threads } => {
                 eff.parallel_impl(instance, request.assignment, num_threads, request.backend)
             }
@@ -369,56 +372,34 @@ impl Scheduler {
         }
     }
 
-    /// The exact-tier first-fit path: dense matrix under the budget,
-    /// uncached on-the-fly contributions above it (exact verdicts for any
-    /// metric space, no planarity required).
-    fn first_fit_exact<M: MetricSpace>(
+    /// The first-fit path: dense matrix under the budget; above it, the
+    /// spatially-pruned sparse backend under [`BackendPolicy::Auto`] (the
+    /// tier that keeps `n ≥ 10⁴` planar instances cached where the dense
+    /// matrix would need gigabytes) or uncached exact contributions under
+    /// [`BackendPolicy::Exact`]. Sparse verdicts are conservative, so the
+    /// schedule validates against the exact evaluator either way (it may
+    /// spend a few more colors). The label keeps the two policies apart:
+    /// [`Algorithm::FirstFit`] for `Exact`, [`Algorithm::FirstFitAuto`] for
+    /// `Auto`.
+    fn first_fit_impl<M: MetricSpace + PlanarMetric>(
         &self,
         instance: &Instance<M>,
         assignment: PowerAssignment,
+        policy: BackendPolicy,
     ) -> Result<ScheduleResult, ScheduleError> {
         let evaluator = instance.evaluator(self.params, &assignment.scheme());
         let view = evaluator.view(self.variant);
-        let ports = view.num_ports();
-        let (schedule, engine) = if self.dense_fits(instance.len(), ports) {
-            let stats = self.dense_stats(instance.len(), ports);
-            (first_fit_coloring(&view.cached()), stats)
-        } else {
-            (
-                first_fit_coloring(&view),
-                EngineStats::on_the_fly(instance.len(), ports, self.matrix_budget),
-            )
-        };
-        let label = SolveLabel::new(Algorithm::FirstFit, assignment.into());
-        self.check_first_fit(&schedule, &evaluator, &label)?;
-        Ok(ScheduleResult {
-            schedule,
-            powers: evaluator.powers().to_vec(),
-            label,
-            engine,
-        })
-    }
-
-    /// The auto-tier first-fit path: dense matrix under the budget, the
-    /// spatially-pruned sparse backend above it — the tier that keeps
-    /// `n ≥ 10⁴` planar instances cached where the dense matrix would need
-    /// gigabytes. Sparse verdicts are conservative, so the returned
-    /// schedule validates against the exact evaluator just like the dense
-    /// one (it may spend a few more colors).
-    fn first_fit_auto<M: MetricSpace + PlanarMetric>(
-        &self,
-        instance: &Instance<M>,
-        assignment: PowerAssignment,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let evaluator = instance.evaluator(self.params, &assignment.scheme());
-        let view = evaluator.view(self.variant);
-        let (backend, engine) = self.select_backend(&view, instance.len(), 1, BackendPolicy::Auto);
+        let (backend, engine) = self.select_backend(&view, instance.len(), 1, policy);
         let schedule = match &backend {
             SelectedBackend::Dense(matrix) => first_fit_coloring(matrix),
             SelectedBackend::Sparse(sparse) => first_fit_coloring(sparse.as_ref()),
             SelectedBackend::Fly(view) => first_fit_coloring(*view),
         };
-        let label = SolveLabel::new(Algorithm::FirstFitAuto, assignment.into());
+        let algorithm = match policy {
+            BackendPolicy::Exact => Algorithm::FirstFit,
+            BackendPolicy::Auto => Algorithm::FirstFitAuto,
+        };
+        let label = SolveLabel::new(algorithm, assignment.into());
         self.check_first_fit(&schedule, &evaluator, &label)?;
         Ok(ScheduleResult {
             schedule,
@@ -925,6 +906,28 @@ mod tests {
         // Both tiers schedule the whole instance.
         assert_eq!(exact.schedule.len(), 12);
         assert_eq!(auto.schedule.len(), 12);
+    }
+
+    #[test]
+    fn deserialized_params_are_rechecked_before_any_work() {
+        let inst = nested_chain(6, 2.0);
+        let request = SolveRequest::first_fit(PowerAssignment::SquareRoot);
+        // Parameters read from data skip `SinrParams::with_noise`.
+        for json in [
+            r#"{"alpha":0.5,"beta":1,"noise":0}"#,
+            r#"{"alpha":1e999,"beta":1,"noise":0}"#,
+            r#"{"alpha":3,"beta":1e999,"noise":0}"#,
+            r#"{"alpha":3,"beta":1,"noise":1e999}"#,
+        ] {
+            let params: SinrParams = serde_json::from_str(json).unwrap();
+            let err = Scheduler::new(params).solve(&inst, &request).unwrap_err();
+            assert!(
+                matches!(err, ScheduleError::Sinr(SinrError::InvalidParams { .. })),
+                "{json}: {err:?}"
+            );
+        }
+        let params: SinrParams = serde_json::from_str(r#"{"alpha":3,"beta":1,"noise":0}"#).unwrap();
+        assert!(Scheduler::new(params).solve(&inst, &request).is_ok());
     }
 
     #[test]

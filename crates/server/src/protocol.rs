@@ -26,6 +26,12 @@
 //! line yields a `bad_request` error response on the same connection; it
 //! never drops the connection or kills the daemon.
 //!
+//! One private helper frames every line, request or response, under its
+//! key; it borrows the payload instead of copying it, and renders a payload
+//! JSON cannot carry (a non-finite float) as a typed `internal` error line.
+//! Parsing reads each line into a JSON tree once, takes its single entry,
+//! and deserializes the payload from that tree.
+//!
 //! This module is deterministic protocol plumbing only: it never reads the
 //! wall clock (timing fields are filled in — or left at zero — by the
 //! daemon's injected clock and by the load generator).
@@ -107,8 +113,10 @@ pub struct OpenSpec {
     /// present config that differs from an existing session's stored one is
     /// a typed `config_mismatch` error.
     pub config: Option<DynamicConfig>,
-    /// Snapshot cadence (events per checkpoint); absent means the durable
-    /// default when creating, the stored cadence when attaching.
+    /// Snapshot cadence (events per checkpoint). Absent means the durable
+    /// default when creating and the stored cadence when recovering a
+    /// closed session; present, it replaces the stored cadence. Re-opening
+    /// a live session keeps the cadence it runs under.
     pub checkpoint_every: Option<usize>,
     /// Backend fallback policy for the session's interference backend;
     /// absent means `Auto`.
@@ -529,99 +537,57 @@ pub enum WireResponse {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Empty {}
 
-// Wrapper structs giving every wire line its single-key framing through the
-// ordinary derive path.
-#[derive(Serialize, Deserialize)]
-struct SolveLine {
-    solve: SolveJob,
-}
-#[derive(Serialize, Deserialize)]
-struct OpenLine {
-    open: OpenSpec,
-}
-#[derive(Serialize, Deserialize)]
-struct InsertLine {
-    insert: ItemRef,
-}
-#[derive(Serialize, Deserialize)]
-struct RemoveLine {
-    remove: IdRef,
-}
-#[derive(Serialize, Deserialize)]
-struct ColorLine {
-    color: ColorInfo,
-}
-#[derive(Serialize, Deserialize)]
-struct ColorQueryLine {
-    color: IdRef,
-}
-#[derive(Serialize, Deserialize)]
-struct StatsQueryLine {
-    stats: StatsSpec,
-}
-#[derive(Serialize, Deserialize)]
-struct CloseLine {
-    close: NameRef,
-}
-#[derive(Serialize, Deserialize)]
-struct SessionLine<T> {
-    session: T,
-}
-#[derive(Serialize, Deserialize)]
-struct PingLine {
-    ping: Empty,
-}
-#[derive(Serialize, Deserialize)]
-struct ShutdownLine {
-    shutdown: Empty,
-}
-#[derive(Serialize, Deserialize)]
-struct PongLine {
-    pong: Empty,
-}
-#[derive(Serialize, Deserialize)]
-struct SolvedLine {
-    solved: SolveOutcome,
-}
-#[derive(Serialize, Deserialize)]
-struct OpenedLine {
-    opened: OpenedInfo,
-}
-#[derive(Serialize, Deserialize)]
-struct InsertedLine {
-    inserted: InsertedInfo,
-}
-#[derive(Serialize, Deserialize)]
-struct RemovedLine {
-    removed: RemovedInfo,
-}
-#[derive(Serialize, Deserialize)]
-struct StatsLine {
-    stats: SessionStats,
-}
-#[derive(Serialize, Deserialize)]
-struct ClosedLine {
-    closed: NameRef,
-}
-#[derive(Serialize, Deserialize)]
-struct ShuttingDownLine {
-    shutting_down: Empty,
-}
-#[derive(Serialize, Deserialize)]
-struct ErrorLine {
-    error: WireError,
+/// The one framing rule of the protocol: `{"<key>":<payload>}`. It borrows
+/// its payload, so rendering a line copies nothing; a session request nests
+/// one `Line` in another.
+struct Line<'a, T: ?Sized>(&'static str, &'a T);
+
+impl<T: Serialize + ?Sized> Serialize for Line<'_, T> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut line = serializer.serialize_struct("Line", 1)?;
+        line.serialize_field(self.0, self.1)?;
+        line.end()
+    }
 }
 
-/// The single top-level key of a one-key JSON object, if the value is one.
-fn single_key(value: &serde_json::Value) -> Option<&str> {
+/// Renders `payload` framed under `key`. A payload JSON cannot carry (a
+/// non-finite float) is rendered as a typed `internal` error line instead,
+/// whose payload always serializes.
+fn line<T: Serialize + ?Sized>(key: &'static str, payload: &T) -> String {
+    serde_json::to_string(&Line(key, payload)).unwrap_or_else(|e| {
+        let detail = format!("the {key} payload does not serialize: {e}");
+        line("error", &WireError::new(WireErrorKind::Internal, detail))
+    })
+}
+
+/// The key and payload of a single-entry JSON object, if the value is one.
+fn single_entry(value: serde_json::Value) -> Option<(String, serde_json::Value)> {
     match value {
-        serde_json::Value::Object(entries) if entries.len() == 1 => Some(entries[0].0.as_str()),
+        serde_json::Value::Object(entries) if entries.len() == 1 => entries.into_iter().next(),
         _ => None,
     }
 }
 
 fn bad<E: fmt::Display>(what: &str) -> impl FnOnce(E) -> WireError + '_ {
     move |e| WireError::new(WireErrorKind::BadRequest, format!("{what}: {e}"))
+}
+
+/// Parses a wire line, the only JSON parse of the protocol, and splits it
+/// into its single top-level key and payload; `shape` is the error detail
+/// for a line of any other shape.
+fn split_line(line: &str, shape: &str) -> Result<(String, serde_json::Value), WireError> {
+    let value = serde_json::from_str(line).map_err(bad("invalid JSON"))?;
+    single_entry(value).ok_or_else(|| WireError::new(WireErrorKind::BadRequest, shape))
+}
+
+/// Deserializes a payload from the parsed tree; a mismatch is a
+/// `bad_request` whose detail starts with `what`.
+fn payload<T: for<'de> Deserialize<'de>>(
+    value: serde_json::Value,
+    what: &str,
+) -> Result<T, WireError> {
+    serde_json::from_value(value).map_err(bad(what))
 }
 
 /// Parses one request line.
@@ -631,72 +597,37 @@ fn bad<E: fmt::Display>(what: &str) -> impl FnOnce(E) -> WireError + '_ {
 /// [`WireErrorKind::BadRequest`] when the line is not valid JSON, not a
 /// single-key object, or not a known request/verb shape.
 pub fn parse_request(line: &str) -> Result<WireRequest, WireError> {
-    let value: serde_json::Value = serde_json::from_str(line).map_err(bad("invalid JSON"))?;
-    let Some(key) = single_key(&value) else {
-        return Err(WireError::new(
-            WireErrorKind::BadRequest,
-            "a request line must be a JSON object with exactly one top-level \
-             key (ping | solve | session | shutdown)",
-        ));
-    };
-    match key {
+    let (key, body) = split_line(
+        line,
+        "a request line must be a JSON object with exactly one top-level \
+         key (ping | solve | session | shutdown)",
+    )?;
+    match key.as_str() {
         "ping" => Ok(WireRequest::Ping),
         "shutdown" => Ok(WireRequest::Shutdown),
-        "solve" => {
-            let parsed: SolveLine = serde_json::from_str(line).map_err(bad("bad solve"))?;
-            Ok(WireRequest::Solve(parsed.solve))
-        }
+        "solve" => Ok(WireRequest::Solve(payload(body, "bad solve")?)),
         "session" => {
-            let inner = match &value {
-                serde_json::Value::Object(entries) => &entries[0].1,
-                _ => unreachable!("single_key only matches objects"),
-            };
-            let Some(verb) = single_key(inner) else {
+            let Some((verb, body)) = single_entry(body) else {
                 return Err(WireError::new(
                     WireErrorKind::BadRequest,
                     "a session request must be a single-verb object \
                      (open | insert | remove | color | stats | close)",
                 ));
             };
-            let verb = match verb {
-                "open" => {
-                    let p: SessionLine<OpenLine> =
-                        serde_json::from_str(line).map_err(bad("bad open"))?;
-                    SessionVerb::Open(p.session.open)
-                }
-                "insert" => {
-                    let p: SessionLine<InsertLine> =
-                        serde_json::from_str(line).map_err(bad("bad insert"))?;
-                    SessionVerb::Insert(p.session.insert)
-                }
-                "remove" => {
-                    let p: SessionLine<RemoveLine> =
-                        serde_json::from_str(line).map_err(bad("bad remove"))?;
-                    SessionVerb::Remove(p.session.remove)
-                }
-                "color" => {
-                    let p: SessionLine<ColorQueryLine> =
-                        serde_json::from_str(line).map_err(bad("bad color"))?;
-                    SessionVerb::Color(p.session.color)
-                }
-                "stats" => {
-                    let p: SessionLine<StatsQueryLine> =
-                        serde_json::from_str(line).map_err(bad("bad stats"))?;
-                    SessionVerb::Stats(p.session.stats)
-                }
-                "close" => {
-                    let p: SessionLine<CloseLine> =
-                        serde_json::from_str(line).map_err(bad("bad close"))?;
-                    SessionVerb::Close(p.session.close)
-                }
+            Ok(WireRequest::Session(match verb.as_str() {
+                "open" => SessionVerb::Open(payload(body, "bad open")?),
+                "insert" => SessionVerb::Insert(payload(body, "bad insert")?),
+                "remove" => SessionVerb::Remove(payload(body, "bad remove")?),
+                "color" => SessionVerb::Color(payload(body, "bad color")?),
+                "stats" => SessionVerb::Stats(payload(body, "bad stats")?),
+                "close" => SessionVerb::Close(payload(body, "bad close")?),
                 other => {
                     return Err(WireError::new(
                         WireErrorKind::BadRequest,
                         format!("unknown session verb {other:?}"),
                     ))
                 }
-            };
-            Ok(WireRequest::Session(verb))
+            }))
         }
         other => Err(WireError::new(
             WireErrorKind::BadRequest,
@@ -708,59 +639,33 @@ pub fn parse_request(line: &str) -> Result<WireRequest, WireError> {
 /// Renders one request as its wire line (no trailing newline) — the client
 /// half of the protocol, used by the load generator and tests.
 pub fn render_request(request: &WireRequest) -> String {
-    let rendered = match request {
-        WireRequest::Ping => serde_json::to_string(&PingLine { ping: Empty {} }),
-        WireRequest::Shutdown => serde_json::to_string(&ShutdownLine { shutdown: Empty {} }),
-        WireRequest::Solve(job) => serde_json::to_string(&SolveLine { solve: *job }),
-        WireRequest::Session(verb) => match verb {
-            SessionVerb::Open(spec) => serde_json::to_string(&SessionLine {
-                session: OpenLine { open: spec.clone() },
-            }),
-            SessionVerb::Insert(item) => serde_json::to_string(&SessionLine {
-                session: InsertLine {
-                    insert: item.clone(),
-                },
-            }),
-            SessionVerb::Remove(id) => serde_json::to_string(&SessionLine {
-                session: RemoveLine { remove: id.clone() },
-            }),
-            SessionVerb::Color(id) => serde_json::to_string(&SessionLine {
-                session: ColorQueryLine { color: id.clone() },
-            }),
-            SessionVerb::Stats(spec) => serde_json::to_string(&SessionLine {
-                session: StatsQueryLine {
-                    stats: spec.clone(),
-                },
-            }),
-            SessionVerb::Close(name) => serde_json::to_string(&SessionLine {
-                session: CloseLine {
-                    close: name.clone(),
-                },
-            }),
-        },
-    };
-    rendered.unwrap_or_else(|e| unreachable!("wire requests always serialize: {e}"))
+    match request {
+        WireRequest::Ping => line("ping", &Empty {}),
+        WireRequest::Shutdown => line("shutdown", &Empty {}),
+        WireRequest::Solve(job) => line("solve", job),
+        WireRequest::Session(SessionVerb::Open(spec)) => line("session", &Line("open", spec)),
+        WireRequest::Session(SessionVerb::Insert(item)) => line("session", &Line("insert", item)),
+        WireRequest::Session(SessionVerb::Remove(id)) => line("session", &Line("remove", id)),
+        WireRequest::Session(SessionVerb::Color(id)) => line("session", &Line("color", id)),
+        WireRequest::Session(SessionVerb::Stats(spec)) => line("session", &Line("stats", spec)),
+        WireRequest::Session(SessionVerb::Close(name)) => line("session", &Line("close", name)),
+    }
 }
 
 /// Renders one response as its wire line (no trailing newline).
 pub fn render_response(response: &WireResponse) -> String {
-    let rendered = match response {
-        WireResponse::Pong => serde_json::to_string(&PongLine { pong: Empty {} }),
-        WireResponse::Solved(o) => serde_json::to_string(&SolvedLine { solved: o.clone() }),
-        WireResponse::Opened(o) => serde_json::to_string(&OpenedLine { opened: o.clone() }),
-        WireResponse::Inserted(o) => serde_json::to_string(&InsertedLine {
-            inserted: o.clone(),
-        }),
-        WireResponse::Removed(o) => serde_json::to_string(&RemovedLine { removed: o.clone() }),
-        WireResponse::Color(o) => serde_json::to_string(&ColorLine { color: o.clone() }),
-        WireResponse::Stats(o) => serde_json::to_string(&StatsLine { stats: o.clone() }),
-        WireResponse::Closed(o) => serde_json::to_string(&ClosedLine { closed: o.clone() }),
-        WireResponse::ShuttingDown => serde_json::to_string(&ShuttingDownLine {
-            shutting_down: Empty {},
-        }),
-        WireResponse::Error(e) => serde_json::to_string(&ErrorLine { error: e.clone() }),
-    };
-    rendered.unwrap_or_else(|e| unreachable!("wire responses always serialize: {e}"))
+    match response {
+        WireResponse::Pong => line("pong", &Empty {}),
+        WireResponse::Solved(o) => line("solved", o),
+        WireResponse::Opened(o) => line("opened", o),
+        WireResponse::Inserted(o) => line("inserted", o),
+        WireResponse::Removed(o) => line("removed", o),
+        WireResponse::Color(o) => line("color", o),
+        WireResponse::Stats(o) => line("stats", o),
+        WireResponse::Closed(o) => line("closed", o),
+        WireResponse::ShuttingDown => line("shutting_down", &Empty {}),
+        WireResponse::Error(e) => line("error", e),
+    }
 }
 
 /// Parses one response line — the client half of the protocol.
@@ -770,48 +675,21 @@ pub fn render_response(response: &WireResponse) -> String {
 /// [`WireErrorKind::BadRequest`] when the line is not a known response
 /// shape (a protocol violation by the peer).
 pub fn parse_response(line: &str) -> Result<WireResponse, WireError> {
-    let value: serde_json::Value = serde_json::from_str(line).map_err(bad("invalid JSON"))?;
-    let Some(key) = single_key(&value) else {
-        return Err(WireError::new(
-            WireErrorKind::BadRequest,
-            "a response line must be a JSON object with exactly one top-level key",
-        ));
-    };
-    match key {
+    let (key, body) = split_line(
+        line,
+        "a response line must be a JSON object with exactly one top-level key",
+    )?;
+    match key.as_str() {
         "pong" => Ok(WireResponse::Pong),
         "shutting_down" => Ok(WireResponse::ShuttingDown),
-        "solved" => {
-            let p: SolvedLine = serde_json::from_str(line).map_err(bad("bad solved"))?;
-            Ok(WireResponse::Solved(p.solved))
-        }
-        "opened" => {
-            let p: OpenedLine = serde_json::from_str(line).map_err(bad("bad opened"))?;
-            Ok(WireResponse::Opened(p.opened))
-        }
-        "inserted" => {
-            let p: InsertedLine = serde_json::from_str(line).map_err(bad("bad inserted"))?;
-            Ok(WireResponse::Inserted(p.inserted))
-        }
-        "removed" => {
-            let p: RemovedLine = serde_json::from_str(line).map_err(bad("bad removed"))?;
-            Ok(WireResponse::Removed(p.removed))
-        }
-        "color" => {
-            let p: ColorLine = serde_json::from_str(line).map_err(bad("bad color"))?;
-            Ok(WireResponse::Color(p.color))
-        }
-        "stats" => {
-            let p: StatsLine = serde_json::from_str(line).map_err(bad("bad stats"))?;
-            Ok(WireResponse::Stats(p.stats))
-        }
-        "closed" => {
-            let p: ClosedLine = serde_json::from_str(line).map_err(bad("bad closed"))?;
-            Ok(WireResponse::Closed(p.closed))
-        }
-        "error" => {
-            let p: ErrorLine = serde_json::from_str(line).map_err(bad("bad error"))?;
-            Ok(WireResponse::Error(p.error))
-        }
+        "solved" => Ok(WireResponse::Solved(payload(body, "bad solved")?)),
+        "opened" => Ok(WireResponse::Opened(payload(body, "bad opened")?)),
+        "inserted" => Ok(WireResponse::Inserted(payload(body, "bad inserted")?)),
+        "removed" => Ok(WireResponse::Removed(payload(body, "bad removed")?)),
+        "color" => Ok(WireResponse::Color(payload(body, "bad color")?)),
+        "stats" => Ok(WireResponse::Stats(payload(body, "bad stats")?)),
+        "closed" => Ok(WireResponse::Closed(payload(body, "bad closed")?)),
+        "error" => Ok(WireResponse::Error(payload(body, "bad error")?)),
         other => Err(WireError::new(
             WireErrorKind::BadRequest,
             format!("unknown response {other:?}"),
@@ -1037,6 +915,21 @@ mod tests {
             WireError::from(DurabilityError::SessionExists).kind,
             WireErrorKind::SessionExists
         );
+    }
+
+    #[test]
+    fn payloads_json_cannot_carry_render_as_typed_internal_errors() {
+        let stored = DynamicConfig::default();
+        let requested = DynamicConfig {
+            drift_tolerance: f64::INFINITY,
+            ..stored
+        };
+        let err = WireError::from(DurabilityError::ConfigMismatch { stored, requested });
+        let line = render_response(&WireResponse::Error(err));
+        match parse_response(&line).unwrap() {
+            WireResponse::Error(e) => assert_eq!(e.kind, WireErrorKind::Internal, "{line}"),
+            other => panic!("expected an internal error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -415,9 +415,13 @@ mod tests {
     }
 
     /// Sends `bytes` on a fresh connection, half-closes it, and collects
-    /// every response line until the daemon closes its side.
+    /// every response line until the daemon closes its side (or stays
+    /// silent for 10 s, so a lost reply fails the test instead of hanging).
     fn exchange(addr: &str, bytes: &[u8]) -> Vec<WireResponse> {
         let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
         // The daemon may hang up before reading everything (over-cap lines).
         let _ = stream.write_all(bytes);
         let _ = stream.shutdown(Shutdown::Write);
@@ -460,6 +464,42 @@ mod tests {
         assert_eq!(over.len(), 1, "nothing is served after an over-cap line");
         assert!(is_bad_request(&over[0]), "{over:?}");
         assert_eq!(at_cap, vec![WireResponse::Pong, WireResponse::Pong]);
+    }
+
+    #[test]
+    fn values_json_cannot_carry_get_typed_errors_and_keep_the_daemon() {
+        let server = test_server("non-finite");
+        let lines = [
+            r#"{"session":{"open":{"name":"s","family":"scaling","n":20,"seed":1,"assignment":"SquareRoot","variant":"Bidirectional"}}}"#,
+            // An infinite drift tolerance would leave the config_mismatch
+            // reply unrenderable, so the open refuses it...
+            r#"{"session":{"open":{"name":"s","family":"scaling","n":20,"seed":1,"assignment":"SquareRoot","variant":"Bidirectional","config":{"recolor_budget":8,"rebuild_interval":64,"drift_tolerance":1e999}}}}"#,
+            // ...as the solve refuses an infinite exponent, which would do
+            // the same to the solved reply's energy.
+            r#"{"solve":{"family":"scaling","n":20,"seed":1,"request":{"strategy":"FirstFit","assignment":"SquareRoot","variant":"Bidirectional","seed":0,"backend":"Auto"},"params":{"alpha":1e999,"beta":1,"noise":0}}}"#,
+            // Out-of-range params are refused before a session is written.
+            r#"{"session":{"open":{"name":"t","family":"scaling","n":20,"seed":1,"assignment":"SquareRoot","variant":"Bidirectional","params":{"alpha":0.5,"beta":1,"noise":0}}}}"#,
+            r#"{"ping":{}}"#,
+        ];
+        // `while_serving` also requires `run()` to return `Ok` after the
+        // shutdown, so every session got its final checkpoint.
+        let responses = while_serving(&server, |addr| {
+            exchange(addr, (lines.join("\n") + "\n").as_bytes())
+        });
+        let kinds: Vec<&str> = responses
+            .iter()
+            .map(|response| match response {
+                WireResponse::Opened(_) => "opened",
+                WireResponse::Pong => "pong",
+                WireResponse::Error(e) => e.kind.as_str(),
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["opened", "bad_request", "schedule", "bad_request", "pong"],
+            "{responses:?}"
+        );
     }
 
     #[test]

@@ -23,13 +23,13 @@ use crate::protocol::{
     ColorInfo, InsertedInfo, OpenSpec, OpenedInfo, RemovedInfo, SessionMeta, SessionStats,
     WireError, WireErrorKind,
 };
-use oblisched::durability::{DiskStore, DurableScheduler, DEFAULT_CHECKPOINT_EVERY};
+use oblisched::durability::{DiskStore, DurableScheduler};
 use oblisched::dynamic::{DynamicConfig, RequestId, SchedulerState};
 use oblisched::scheduler::Scheduler;
 use oblisched::solve::BackendPolicy;
 use oblisched_instances::{build_family, FamilyInstance};
 use oblisched_metric::{MetricSpace, PlanarMetric};
-use oblisched_sinr::Instance;
+use oblisched_sinr::{Instance, SinrParams};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -84,8 +84,8 @@ pub fn validate_name(name: &str) -> Result<(), WireError> {
     Ok(())
 }
 
-/// FNV-1a (64-bit) over a word stream — the same deterministic fingerprint
-/// construction the bench crate uses for schedules.
+/// FNV-1a (64-bit) over a word stream — the deterministic fingerprint hash
+/// of session states here and of schedules in the bench crate.
 pub fn fingerprint64(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for word in words {
@@ -123,7 +123,8 @@ struct OpenMode {
     /// The client-requested configuration; `None` accepts whatever the
     /// store holds (or the default for a fresh session).
     config: Option<DynamicConfig>,
-    /// The client-requested snapshot cadence.
+    /// The client-requested snapshot cadence; `None` keeps the stored one
+    /// (or the default for a fresh session).
     checkpoint_every: Option<usize>,
     /// `true` for the startup scan: a snapshot must exist and its stored
     /// configuration is authoritative.
@@ -273,8 +274,9 @@ impl SessionRegistry {
     /// # Errors
     ///
     /// [`WireErrorKind::BadName`], [`WireErrorKind::BadRequest`] (a zero
-    /// `checkpoint_every` or a config that fails
-    /// [`DynamicConfig::validate`], refused before anything is written),
+    /// `checkpoint_every`, a config that fails [`DynamicConfig::validate`]
+    /// or params that fail [`SinrParams::with_noise`], refused before
+    /// anything is written),
     /// [`WireErrorKind::MetaMismatch`], [`WireErrorKind::ConfigMismatch`],
     /// or the family/durability errors of bringing the session up.
     pub fn open(&self, spec: &OpenSpec) -> Result<OpenedInfo, WireError> {
@@ -289,6 +291,10 @@ impl SessionRegistry {
             config
                 .validate()
                 .map_err(|reason| WireError::new(WireErrorKind::BadRequest, reason))?;
+        }
+        if let Some(params) = &spec.params {
+            SinrParams::with_noise(params.alpha(), params.beta(), params.noise())
+                .map_err(|e| WireError::new(WireErrorKind::BadRequest, e.to_string()))?;
         }
         let requested = SessionMeta::of_spec(spec);
 
@@ -570,17 +576,10 @@ fn actor_loop<M: MetricSpace + PlanarMetric>(
             return;
         }
     };
-    let cadence = mode.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY);
     let opened = if mode.restart {
         DurableScheduler::recover(&backend, store)
     } else {
-        match mode.config {
-            Some(config) => DurableScheduler::open(&backend, config, cadence, store),
-            // No requested config: accept whatever the store holds, or
-            // start fresh with the defaults.
-            None if had_snapshot => DurableScheduler::recover(&backend, store),
-            None => DurableScheduler::create(&backend, DynamicConfig::default(), cadence, store),
-        }
+        DurableScheduler::open(&backend, mode.config, mode.checkpoint_every, store)
     };
     let mut session = match opened {
         Ok(session) => session,
@@ -847,6 +846,27 @@ mod tests {
     }
 
     #[test]
+    fn reopening_with_a_config_keeps_the_stored_cadence() {
+        let dir = temp_dir("cadence");
+        let registry = SessionRegistry::new(&dir).expect("registry");
+        let mut first = spec("s1");
+        first.checkpoint_every = Some(8);
+        registry.open(&first).expect("open");
+        registry.close("s1").expect("close");
+        // A config but no cadence: the stored cadence stays.
+        let mut again = spec("s1");
+        again.config = Some(DynamicConfig::default());
+        assert!(registry.open(&again).expect("reopen").recovered);
+        registry.close("s1").expect("close");
+        let snapshot =
+            fs::read_to_string(dir.join("s1").join(DiskStore::SNAPSHOT_FILE)).expect("snapshot");
+        let snapshot: oblisched::durability::SessionSnapshot =
+            serde_json::from_str(&snapshot).expect("parse snapshot");
+        assert_eq!(snapshot.checkpoint_every, 8);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_failed_open_leaves_nothing_behind() {
         let dir = temp_dir("failed-open");
         let registry = SessionRegistry::new(&dir).expect("registry");
@@ -871,6 +891,10 @@ mod tests {
             },
             DynamicConfig {
                 drift_tolerance: -1e-6,
+                ..DynamicConfig::default()
+            },
+            DynamicConfig {
+                drift_tolerance: f64::INFINITY,
                 ..DynamicConfig::default()
             },
         ] {

@@ -1,7 +1,7 @@
 //! Offline stand-in for the subset of [`serde_json`](https://crates.io/crates/serde_json)
-//! used by this workspace: [`to_string`], [`to_string_pretty`] and
-//! [`from_str`], implemented over an owned [`Value`] tree and the workspace
-//! `serde` shim's traits.
+//! used by this workspace: [`to_string`], [`to_string_pretty`], [`from_str`]
+//! and [`from_value`], implemented over an owned [`Value`] tree and the
+//! workspace `serde` shim's traits.
 //!
 //! Numbers are represented as `f64` throughout (ample for this workspace,
 //! which serializes table strings, coordinates and small counts); there is no
@@ -68,6 +68,14 @@ pub fn to_string_pretty<T: ?Sized + Serialize>(value: &T) -> Result<String> {
 pub fn from_str<'de, T: Deserialize<'de>>(s: &str) -> Result<T> {
     let v = read::parse(s)?;
     T::deserialize(value::ValueDeserializer(v))
+}
+
+/// Deserializes a value from an already parsed [`Value`] tree, consuming
+/// it — so a document parsed once (say, to read a discriminating key) need
+/// not be parsed again. The real crate bounds `T` by `DeserializeOwned`,
+/// which is this bound.
+pub fn from_value<T: for<'de> Deserialize<'de>>(value: Value) -> Result<T> {
+    T::deserialize(value::ValueDeserializer(value))
 }
 
 #[cfg(test)]
@@ -149,6 +157,26 @@ mod tests {
             Value::String("hi".into())
         );
         assert_eq!(from_str::<Value>("null").unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn parsed_trees_deserialize_by_value() {
+        let v: Value = from_str(r#"{"pair":[4,0.5],"name":"s1"}"#).unwrap();
+        let Value::Object(entries) = v else {
+            panic!("expected an object");
+        };
+        let mut entries = entries.into_iter();
+        let (key, pair) = entries.next().unwrap();
+        assert_eq!(key, "pair");
+        assert_eq!(from_value::<(usize, f64)>(pair).unwrap(), (4, 0.5));
+        let (_, name) = entries.next().unwrap();
+        assert_eq!(from_value::<String>(name).unwrap(), "s1");
+        // The typed errors are those of `from_str` on the same text.
+        let typed = from_value::<u64>(Value::String("x".into())).unwrap_err();
+        assert_eq!(
+            typed.to_string(),
+            from_str::<u64>("\"x\"").unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -6,15 +6,70 @@
 //! On mismatch the test points at the first diverging line; run with
 //! `GOLDEN_UPDATE=1` to regenerate the golden after an intentional
 //! protocol change.
+//!
+//! The same two files pin the framing without a server: every golden line
+//! parses and renders back byte for byte, and no cut of any line makes a
+//! parser panic or answer anything but a typed `bad_request`.
 
 use oblisched_suite::server::load::replay_transcript;
-use oblisched_suite::server::{send_shutdown, Server, ServerConfig};
+use oblisched_suite::server::{
+    parse_request, parse_response, render_response, send_shutdown, Server, ServerConfig, WireError,
+    WireErrorKind,
+};
 use std::path::PathBuf;
 
 fn example_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("examples/server")
         .join(name)
+}
+
+fn read_example(name: &str) -> String {
+    std::fs::read_to_string(example_path(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
+}
+
+#[test]
+fn golden_responses_round_trip_byte_for_byte() {
+    let golden = read_example("smoke.golden.jsonl");
+    for line in golden.lines() {
+        let response = parse_response(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(render_response(&response), line);
+    }
+}
+
+/// Every proper prefix and every single-byte deletion of `line`, skipping
+/// the cuts that would split a UTF-8 character.
+fn cuts(line: &str) -> Vec<String> {
+    let mut cuts = Vec::new();
+    for i in 0..line.len() {
+        if line.is_char_boundary(i) {
+            cuts.push(line[..i].to_owned());
+            if line.is_char_boundary(i + 1) {
+                cuts.push(format!("{}{}", &line[..i], &line[i + 1..]));
+            }
+        }
+    }
+    cuts
+}
+
+#[test]
+fn cut_lines_parse_or_fail_as_typed_bad_requests() {
+    // Parse only, never dispatch: a cut can turn a small `n` into a huge
+    // solve.
+    fn check<T>(file: &str, parse: fn(&str) -> Result<T, WireError>) -> usize {
+        let mut refused = 0;
+        for line in read_example(file).lines() {
+            for cut in cuts(line) {
+                if let Err(e) = parse(&cut) {
+                    assert_eq!(e.kind, WireErrorKind::BadRequest, "{file}: {cut}");
+                    refused += 1;
+                }
+            }
+        }
+        refused
+    }
+    assert!(check("smoke.jsonl", parse_request) > 0);
+    assert!(check("smoke.golden.jsonl", parse_response) > 0);
 }
 
 #[test]
