@@ -49,7 +49,7 @@ cargo test -q --release -p oblisched-suite --test durable_recovery
 echo "==> sparse dynamic certification + churn acceptance (release)"
 # The interleaving proptest — the sparse-backed DynamicScheduler never
 # accepts a placement the naive evaluator rejects, at *any* intermediate
-# state, across assignments × variants × refresh intervals — plus the
+# state, across assignments × variants — plus the
 # large-universe acceptance replay on the facade-selected sparse backend.
 # SPARSE_CHURN_SMOKE=1 (the default here) shrinks the acceptance universe
 # to 4k — still past the dense budget, so the sparse tier is exercised —
@@ -121,6 +121,22 @@ echo "==> end-to-end benchmark as a correctness check (session_small, 1 s)"
 # not its timings. Builds into the root target directory.
 CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py --workload session_small --seed 1 \
   --seconds 1 --trace 0 | tail -1 | grep -q '"correct": true'
+
+echo "==> sparse-tier tail recovery at the served profile (session_large, 1 s, traced)"
+# session_large runs its sessions on the sparse tier the daemon serves past
+# the dense budget. Its traced run also recovers a copy of one durable
+# session taken mid-script, with a log tail past the snapshot, onto a fresh
+# backend; that copy must come back exact. Only the verdict and that count
+# are read here, not timings.
+CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py --workload session_large --seed 7 \
+  --seconds 1 --trace 1 | tail -1 | python3 -c '
+import json, sys
+result = json.load(sys.stdin)
+failures = result["metrics"]["durability.tail_recover_failures"]["value"]
+correct = result["correct"]
+if correct is not True or failures != 0:
+    sys.exit(f"session_large: correct={correct}, tail_recover_failures={failures}")
+'
 
 echo "==> experiment E10 (churn: incremental vs full reschedule)"
 # E10 validates the final dynamic state against the naive evaluator and

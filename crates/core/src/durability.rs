@@ -1,26 +1,21 @@
 //! Durable dynamic sessions: a write-ahead log plus snapshot/restore for the
 //! [`DynamicScheduler`], behind a pluggable [`SessionStore`].
 //!
-//! The dynamic scheduler is fully deterministic: given the same system, the
-//! same [`DynamicConfig`] and the same event order, every placement, id and
-//! recoloring migration comes out identical. Durability therefore only needs
-//! to persist the *events* — a [`DurableScheduler`] appends one
-//! [`WalRecord`] per insert, removal and recoloring migration to an
-//! append-only log, checkpoints a full [`SessionSnapshot`] every
-//! `checkpoint_every` events, and recovery is
-//! [load-snapshot](SessionStore::load_snapshot) +
-//! [replay-tail](SessionStore::read_tail):
-//!
-//! * **[`WalEvent::Insert`]** records carry the item *and* the id the live
-//!   scheduler assigned, so replay cross-checks its own deterministic id
-//!   assignment against the log;
-//! * **[`WalEvent::Remove`]** records only name the departing id — replay
-//!   re-derives the bounded local recoloring deterministically;
-//! * **[`WalEvent::Recolor`]** records log each migration a removal
-//!   triggered; replay verifies the re-derived migrations land every request
-//!   on its logged color instead of applying them, so a log from a different
-//!   system or config surfaces as [`DurabilityError::Corrupt`] rather than a
-//!   silently wrong coloring.
+//! A [`DurableScheduler`] appends one [`WalRecord`] per event, holding what
+//! the event did: a [`WalEvent::Insert`] carries the item, its id and the
+//! color it joined; a [`WalEvent::Remove`] carries the id, the recoloring
+//! moves it triggered and the recolor cursor it left. A [`SessionSnapshot`]
+//! is checkpointed every `checkpoint_every` events. Recovery
+//! ([load-snapshot](SessionStore::load_snapshot) +
+//! [read-tail](SessionStore::read_tail)) applies the tail to the snapshot's
+//! [`SchedulerState`] as data and restores the scheduler once through
+//! [`DynamicScheduler::from_state`]. No event is re-run, so recovery is exact
+//! also on backends whose verdicts depend on their history (the
+//! churn-capable sparse tier). The checks are structural — contiguous seqs,
+//! each logged id the next id, each color at most the class count, each
+//! removed or moved id live and each move leaving its class — and a failure
+//! is [`DurabilityError::Corrupt`], as is a tail in the older format, whose
+//! `Recolor` lines and color-less inserts do not parse.
 //!
 //! Two stores are provided: [`MemoryStore`] (tests, in-process handoff) and
 //! [`DiskStore`] (an append-only JSONL `wal.jsonl` plus a `snapshot.json`
@@ -28,9 +23,9 @@
 //! once its trailing newline is on disk: recovery drops an unterminated
 //! final line (a torn write mid-crash) and rejects any terminated line that
 //! does not parse. The crash-point harness in `tests/durable_recovery.rs`
-//! truncates a real session's WAL at every byte offset and asserts recovery
-//! reproduces the pre-crash coloring bit-for-bit, certified through the
-//! naive-evaluator [`validate`](DynamicScheduler::validate) path.
+//! truncates a real session's WAL at every byte offset, on the exact and on
+//! the sparse tier, and asserts recovery reproduces the pre-crash coloring
+//! bit-for-bit, certified against the naive evaluator.
 //!
 //! # Example
 //!
@@ -55,7 +50,7 @@
 //! let _b = session.insert(1)?;
 //! session.remove(a)?;
 //!
-//! // "Crash": drop the session, keep only the store. Recovery replays the
+//! // "Crash": drop the session, keep only the store. Recovery applies the
 //! // tail after the last checkpoint and reproduces the state exactly.
 //! let store = session.into_store();
 //! let recovered = DurableScheduler::recover(&view, store)?;
@@ -64,7 +59,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::dynamic::{DynamicConfig, DynamicError, DynamicScheduler, RequestId, SchedulerState};
+use crate::dynamic::{
+    DynamicConfig, DynamicError, DynamicScheduler, Removal, RequestId, SchedulerState, StateMember,
+};
 use oblisched_sinr::GainBackend;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -76,30 +73,29 @@ use std::path::{Path, PathBuf};
 /// this many insert/remove events.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
 
-/// One logged scheduler event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One logged scheduler event and what it did.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalEvent {
-    /// An arrival: `item` was inserted and assigned the raw id `id`.
+    /// An arrival: `item` was inserted, assigned the raw id `id` and placed
+    /// in color `color`.
     Insert {
         /// The inserted engine item.
         item: usize,
         /// The raw [`RequestId`] the scheduler assigned.
         id: u64,
+        /// The color the request joined.
+        color: usize,
     },
     /// A departure of the raw id `id`.
     Remove {
         /// The raw [`RequestId`] that departed.
         id: u64,
-    },
-    /// A recoloring migration triggered by the preceding removal: replay
-    /// verifies the re-derived migration instead of applying it.
-    Recolor {
-        /// The raw [`RequestId`] that migrated.
-        id: u64,
-        /// The color the request left.
-        from: usize,
-        /// The color the request joined.
-        to: usize,
+        /// The recoloring moves the departure triggered, in application
+        /// order: each the raw id of a live request and the color it joined.
+        moves: Vec<(u64, usize)>,
+        /// The recolor cursor after the departure. It advances also when a
+        /// recolor pass moves nothing, so it cannot be inferred from `moves`.
+        cursor: usize,
     },
 }
 
@@ -107,7 +103,7 @@ pub enum WalEvent {
 /// Sequence numbers start at 0 and are contiguous, so the line index of an
 /// unpruned log *is* the sequence number — what lets recovery skip the
 /// snapshotted prefix without parsing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WalRecord {
     /// The record's position in the log, starting at 0.
     pub seq: u64,
@@ -142,8 +138,10 @@ pub enum DurabilityError {
     /// A record or snapshot failed to serialize or deserialize.
     Serde(serde_json::Error),
     /// The log or snapshot is readable but inconsistent: a terminated WAL
-    /// line that does not parse, a sequence-number gap, or replay diverging
-    /// from the logged ids/colors (a log from a different system or config).
+    /// line that does not parse (an older log format included), a
+    /// sequence-number gap, or a record that does not fit the state it is
+    /// applied to (an id that is not the next one, a color past the class
+    /// count, a removed or moved id that is not live).
     Corrupt {
         /// The sequence number of the offending record, when attributable.
         seq: Option<u64>,
@@ -287,7 +285,7 @@ impl MemoryStore {
 
 impl SessionStore for MemoryStore {
     fn append(&mut self, record: &WalRecord) -> Result<(), DurabilityError> {
-        self.records.push(*record);
+        self.records.push(record.clone());
         Ok(())
     }
 
@@ -305,7 +303,7 @@ impl SessionStore for MemoryStore {
             .records
             .iter()
             .filter(|r| r.seq >= from_seq)
-            .copied()
+            .cloned()
             .collect())
     }
 }
@@ -420,75 +418,103 @@ impl SessionStore for DiskStore {
     }
 }
 
-/// Applies one WAL record to a scheduler during replay: inserts and removals
-/// are re-executed, recoloring records are *verified* against the re-derived
-/// state (replay is deterministic, so a mismatch means the log belongs to a
-/// different system or config).
-fn apply_record<S: GainBackend + ?Sized>(
-    sched: &mut DynamicScheduler<'_, S>,
-    record: &WalRecord,
-) -> Result<(), DurabilityError> {
-    match record.event {
-        WalEvent::Insert { item, id } => {
-            let got = sched.insert(item)?;
-            if got.raw() != id {
-                return Err(DurabilityError::Corrupt {
-                    seq: Some(record.seq),
-                    detail: format!(
-                        "replayed insert of item {item} assigned id {got}, log says {id}"
-                    ),
-                });
+/// Applies a log tail to `state` as plain data and restores the scheduler
+/// from the result — the one fold behind [`replay_records`] and
+/// [`DurableScheduler::recover`]. The first record must carry `next_seq`;
+/// returns the scheduler and the seq after the tail.
+fn restore<'s, S: GainBackend + ?Sized>(
+    system: &'s S,
+    config: DynamicConfig,
+    mut state: SchedulerState,
+    mut next_seq: u64,
+    tail: &[WalRecord],
+) -> Result<(DynamicScheduler<'s, S>, u64), DurabilityError> {
+    for record in tail {
+        let corrupt = |detail: String| DurabilityError::Corrupt {
+            seq: Some(record.seq),
+            detail,
+        };
+        if record.seq != next_seq {
+            return Err(corrupt(format!(
+                "expected seq {next_seq}, found {}",
+                record.seq
+            )));
+        }
+        let classes = &mut state.classes;
+        match &record.event {
+            &WalEvent::Insert { item, id, color } => {
+                if id != state.next_id || color > classes.len() {
+                    return Err(corrupt(format!(
+                        "insert of id {id} into color {color} does not fit next id {} and {} \
+                         classes",
+                        state.next_id,
+                        classes.len()
+                    )));
+                }
+                state.next_id += 1;
+                if color == classes.len() {
+                    classes.push(Vec::new());
+                }
+                classes[color].push(StateMember { id, item });
+            }
+            WalEvent::Remove { id, moves, cursor } => {
+                take(classes, *id).map_err(corrupt)?;
+                for &(id, to) in moves {
+                    match take(classes, id).map_err(corrupt)? {
+                        (from, member) if from != to && to < classes.len() => {
+                            classes[to].push(member);
+                        }
+                        (from, _) => {
+                            return Err(corrupt(format!("id {id} cannot move from {from} to {to}")))
+                        }
+                    }
+                }
+                while classes.last().is_some_and(Vec::is_empty) {
+                    classes.pop();
+                }
+                state.recolor_cursor = *cursor;
             }
         }
-        WalEvent::Remove { id } => {
-            sched.remove(RequestId::from_raw(id))?;
-        }
-        WalEvent::Recolor { id, from, to } => {
-            let current = sched.color_of(RequestId::from_raw(id));
-            if current != Some(to) {
-                return Err(DurabilityError::Corrupt {
-                    seq: Some(record.seq),
-                    detail: format!(
-                        "log says id {id} migrated {from} -> {to}, replay has it at {current:?}"
-                    ),
-                });
-            }
-        }
+        next_seq += 1;
     }
-    Ok(())
+    let sched = DynamicScheduler::from_state(system, config, &state)?;
+    Ok((sched, next_seq))
 }
 
-/// Replays a full record log (starting from sequence 0 over an empty
+/// Takes the live member `id` out of its class, keeping the order of the
+/// others; returns the class it left.
+fn take(classes: &mut [Vec<StateMember>], id: u64) -> Result<(usize, StateMember), String> {
+    for (color, class) in classes.iter_mut().enumerate() {
+        if let Some(pos) = class.iter().position(|member| member.id == id) {
+            return Ok((color, class.remove(pos)));
+        }
+    }
+    Err(format!("id {id} is not live"))
+}
+
+/// Applies a full record log (starting from sequence 0 over an empty
 /// scheduler) and returns the resulting scheduler — the reference recovery
 /// path the snapshot+tail fast path is tested against.
 ///
 /// # Errors
 ///
-/// [`DurabilityError::Corrupt`] on a sequence gap or a replay divergence,
-/// [`DurabilityError::Dynamic`] when a logged event does not apply.
+/// [`DurabilityError::Corrupt`] on a sequence gap or a record that does not
+/// fit the state, [`DurabilityError::Dynamic`] when the resulting state does
+/// not restore over `system` (an item out of range or live twice).
 pub fn replay_records<'s, S: GainBackend + ?Sized>(
     system: &'s S,
     config: DynamicConfig,
     records: &[WalRecord],
 ) -> Result<DynamicScheduler<'s, S>, DurabilityError> {
-    let mut sched = DynamicScheduler::with_config(system, config);
-    for (index, record) in records.iter().enumerate() {
-        if record.seq != index as u64 {
-            return Err(DurabilityError::Corrupt {
-                seq: Some(record.seq),
-                detail: format!("expected seq {index}, found {}", record.seq),
-            });
-        }
-        apply_record(&mut sched, record)?;
-    }
-    Ok(sched)
+    let empty = DynamicScheduler::with_config(system, config).export_state();
+    Ok(restore(system, config, empty, 0, records)?.0)
 }
 
-/// A [`DynamicScheduler`] wrapped with durability: every insert/remove (and
-/// each recoloring migration a removal triggers) is appended to the
-/// [`SessionStore`]'s write-ahead log, a [`SessionSnapshot`] is checkpointed
-/// every `checkpoint_every` events, and [`recover`](DurableScheduler::recover)
-/// rebuilds the exact pre-crash state from snapshot + log tail.
+/// A [`DynamicScheduler`] wrapped with durability: every insert/remove is
+/// appended to the [`SessionStore`]'s write-ahead log as one record of what
+/// it did, a [`SessionSnapshot`] is checkpointed every `checkpoint_every`
+/// events, and [`recover`](DurableScheduler::recover) rebuilds the exact
+/// pre-crash state from snapshot + log tail.
 #[derive(Debug)]
 pub struct DurableScheduler<'s, S: GainBackend + ?Sized, St: SessionStore> {
     inner: DynamicScheduler<'s, S>,
@@ -538,41 +564,32 @@ impl<'s, S: GainBackend + ?Sized, St: SessionStore> DurableScheduler<'s, S, St> 
         Ok(session)
     }
 
-    /// Recovers the session in `store`: loads the snapshot, restores the
-    /// scheduler via [`DynamicScheduler::from_state`], and replays the log
-    /// tail from the snapshot's `next_seq`, verifying sequence contiguity
-    /// and the logged ids/colors along the way.
+    /// Recovers the session in `store`: loads the snapshot, applies the log
+    /// tail from the snapshot's `next_seq` to its state as data (see the
+    /// [module docs](self) for the checks), and restores the scheduler once
+    /// via [`DynamicScheduler::from_state`].
     ///
     /// # Errors
     ///
     /// [`DurabilityError::NoSession`] when the store holds no snapshot,
-    /// [`DurabilityError::Corrupt`] on gaps or replay divergence, and
-    /// [`DurabilityError::Dynamic`] when a logged event does not apply to
-    /// the given system.
+    /// [`DurabilityError::Corrupt`] on gaps or records that do not fit the
+    /// state, and [`DurabilityError::Dynamic`] when the recovered state does
+    /// not restore over the given system.
     pub fn recover(system: &'s S, store: St) -> Result<Self, DurabilityError> {
         let snapshot = store.load_snapshot()?.ok_or(DurabilityError::NoSession)?;
-        let mut inner = DynamicScheduler::from_state(system, snapshot.config, &snapshot.state)?;
         let tail = store.read_tail(snapshot.next_seq)?;
-        let mut events = 0usize;
-        let mut next_seq = snapshot.next_seq;
-        for record in &tail {
-            if record.seq != next_seq {
-                return Err(DurabilityError::Corrupt {
-                    seq: Some(record.seq),
-                    detail: format!("expected seq {next_seq}, found {}", record.seq),
-                });
-            }
-            apply_record(&mut inner, record)?;
-            if !matches!(record.event, WalEvent::Recolor { .. }) {
-                events += 1;
-            }
-            next_seq += 1;
-        }
+        let (inner, next_seq) = restore(
+            system,
+            snapshot.config,
+            snapshot.state,
+            snapshot.next_seq,
+            &tail,
+        )?;
         Ok(Self {
             inner,
             store,
             checkpoint_every: snapshot.checkpoint_every,
-            events_since_checkpoint: events,
+            events_since_checkpoint: tail.len(),
             next_seq,
             snapshots_written: 0,
         })
@@ -595,7 +612,8 @@ impl<'s, S: GainBackend + ?Sized, St: SessionStore> DurableScheduler<'s, S, St> 
     ///
     /// # Panics
     ///
-    /// Like [`create`](DurableScheduler::create) when it creates.
+    /// Panics if a requested cadence is zero or the config is invalid (like
+    /// [`create`](DurableScheduler::create)).
     pub fn open(
         system: &'s S,
         config: Option<DynamicConfig>,
@@ -616,13 +634,27 @@ impl<'s, S: GainBackend + ?Sized, St: SessionStore> DurableScheduler<'s, S, St> 
             return Err(DurabilityError::ConfigMismatch { stored, requested });
         }
         if let Some(every) = checkpoint_every {
-            session.checkpoint_every = every.max(1);
+            session.set_checkpoint_every(every);
         }
         Ok(session)
     }
 
-    /// Inserts an item, logging the event (with the assigned id) and
-    /// checkpointing when the cadence is due.
+    /// Replaces the checkpoint cadence; the next checkpoint is due once the
+    /// events since the last one reach it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    pub fn set_checkpoint_every(&mut self, every: usize) {
+        assert!(
+            every >= 1,
+            "the checkpoint cadence must be at least 1 event"
+        );
+        self.checkpoint_every = every;
+    }
+
+    /// Inserts an item, logging the event (with the assigned id and color)
+    /// and checkpointing when the cadence is due.
     ///
     /// # Errors
     ///
@@ -630,49 +662,44 @@ impl<'s, S: GainBackend + ?Sized, St: SessionStore> DurableScheduler<'s, S, St> 
     /// errors from the append/checkpoint.
     pub fn insert(&mut self, item: usize) -> Result<RequestId, DurabilityError> {
         let id = self.inner.insert(item)?;
-        let record = WalRecord {
-            seq: self.next_seq,
-            event: WalEvent::Insert { item, id: id.raw() },
-        };
-        self.store.append(&record)?;
-        self.next_seq += 1;
-        self.after_event()?;
+        let color = self.inner.color_of(id).ok_or(DynamicError::UnknownId(id))?;
+        self.log(WalEvent::Insert {
+            item,
+            id: id.raw(),
+            color,
+        })?;
         Ok(id)
     }
 
-    /// Removes a live request, logging the removal plus one
-    /// [`WalEvent::Recolor`] record per migration it triggered, and
-    /// checkpointing when the cadence is due. Returns the departed item.
+    /// Removes a live request, logging the removal with the recoloring moves
+    /// it triggered and the cursor it left, and checkpointing when the
+    /// cadence is due. Returns the removal's full effect.
     ///
     /// # Errors
     ///
     /// [`DynamicError::UnknownId`] via [`DurabilityError::Dynamic`] when
     /// `id` is not live (nothing is logged then), or store errors.
-    pub fn remove(&mut self, id: RequestId) -> Result<usize, DurabilityError> {
+    pub fn remove(&mut self, id: RequestId) -> Result<Removal, DurabilityError> {
         let removal = self.inner.remove_traced(id)?;
-        let record = WalRecord {
-            seq: self.next_seq,
-            event: WalEvent::Remove { id: id.raw() },
-        };
-        self.store.append(&record)?;
-        self.next_seq += 1;
-        for mv in &removal.moves {
-            let record = WalRecord {
-                seq: self.next_seq,
-                event: WalEvent::Recolor {
-                    id: mv.id.raw(),
-                    from: mv.from,
-                    to: mv.to,
-                },
-            };
-            self.store.append(&record)?;
-            self.next_seq += 1;
-        }
-        self.after_event()?;
-        Ok(removal.item)
+        self.log(WalEvent::Remove {
+            id: id.raw(),
+            moves: removal
+                .moves
+                .iter()
+                .map(|mv| (mv.id.raw(), mv.to))
+                .collect(),
+            cursor: removal.cursor,
+        })?;
+        Ok(removal)
     }
 
-    fn after_event(&mut self) -> Result<(), DurabilityError> {
+    /// Appends one event record and checkpoints when the cadence is due.
+    fn log(&mut self, event: WalEvent) -> Result<(), DurabilityError> {
+        self.store.append(&WalRecord {
+            seq: self.next_seq,
+            event,
+        })?;
+        self.next_seq += 1;
         self.events_since_checkpoint += 1;
         if self.events_since_checkpoint >= self.checkpoint_every {
             self.checkpoint()?;
@@ -716,7 +743,7 @@ impl<'s, S: GainBackend + ?Sized, St: SessionStore> DurableScheduler<'s, S, St> 
     }
 
     /// The sequence number the next WAL record will carry (also the number
-    /// of records logged so far for an unpruned session).
+    /// of events logged so far for an unpruned session).
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
@@ -760,14 +787,16 @@ mod tests {
         let config = DynamicConfig::default();
         let mut session = DurableScheduler::create(&view, config, 3, MemoryStore::new()).unwrap();
         let ids: Vec<RequestId> = (0..10).map(|i| session.insert(i).unwrap()).collect();
+        let mut moves = 0;
         for &id in &ids[..7] {
-            session.remove(id).unwrap();
+            moves += session.remove(id).unwrap().moves.len();
         }
         let expected = session.scheduler().export_state();
         assert!(session.snapshots_written() >= 2);
-        // Removals under uniform power on the nested chain recolor, so the
-        // log must contain Recolor records beyond the 17 events.
-        assert!(session.next_seq() > 17);
+        // One record per event, and removals under uniform power on the
+        // nested chain recolor, so some Remove records carry moves.
+        assert_eq!(session.next_seq(), 17);
+        assert!(moves > 0);
         let store = session.into_store();
         let recovered = DurableScheduler::recover(&view, store).unwrap();
         assert_eq!(recovered.scheduler().export_state(), expected);
@@ -859,50 +888,55 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_gaps_and_divergence() {
+    fn replay_rejects_records_that_do_not_fit_the_state() {
         let inst = nested_chain(4, 2.0);
         let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
         let view = eval.view(Variant::Bidirectional);
         let config = DynamicConfig::default();
-        // Sequence gap.
-        let gap = [WalRecord {
-            seq: 5,
-            event: WalEvent::Insert { item: 0, id: 0 },
-        }];
-        assert!(matches!(
-            replay_records(&view, config, &gap),
-            Err(DurabilityError::Corrupt { seq: Some(5), .. })
-        ));
-        // Id divergence: the log claims an id replay will not assign.
-        let diverged = [WalRecord {
-            seq: 0,
-            event: WalEvent::Insert { item: 0, id: 7 },
-        }];
-        assert!(matches!(
-            replay_records(&view, config, &diverged),
-            Err(DurabilityError::Corrupt { seq: Some(0), .. })
-        ));
-        // Color divergence on a Recolor record.
-        let recolor = [
-            WalRecord {
-                seq: 0,
-                event: WalEvent::Insert { item: 0, id: 0 },
+        let insert = |seq, item, id, color| WalRecord {
+            seq,
+            event: WalEvent::Insert { item, id, color },
+        };
+        let remove = |seq, id, moves: &[(u64, usize)]| WalRecord {
+            seq,
+            event: WalEvent::Remove {
+                id,
+                moves: moves.to_vec(),
+                cursor: 0,
             },
-            WalRecord {
-                seq: 1,
-                event: WalEvent::Recolor {
-                    id: 0,
-                    from: 3,
-                    to: 9,
-                },
-            },
-        ];
-        assert!(matches!(
-            replay_records(&view, config, &recolor),
-            Err(DurabilityError::Corrupt { seq: Some(1), .. })
-        ));
+        };
+        // Two requests in colors 0 and 1: the prefix every case extends.
+        let base = [insert(0, 0, 0, 0), insert(1, 1, 1, 1)];
+        let replayed = replay_records(&view, config, &base).unwrap();
+        assert_eq!(replayed.color_classes(), vec![vec![0], vec![1]]);
+        for (bad, at) in [
+            // A sequence gap.
+            (insert(5, 2, 2, 0), 5),
+            // An id that is not the next id.
+            (insert(2, 2, 7, 0), 2),
+            // A color past the class count.
+            (insert(2, 2, 2, 3), 2),
+            // The removal of an id that is not live.
+            (remove(2, 9, &[]), 2),
+            // A move of an id that is not live...
+            (remove(2, 0, &[(9, 0)]), 2),
+            // ...or within the class the request is in.
+            (remove(2, 0, &[(1, 1)]), 2),
+        ] {
+            let records = [base[0].clone(), base[1].clone(), bad];
+            match replay_records(&view, config, &records) {
+                Err(DurabilityError::Corrupt { seq: Some(seq), .. }) => assert_eq!(seq, at),
+                Err(e) => panic!("expected Corrupt at {at}, got {e}"),
+                Ok(_) => panic!("expected Corrupt at {at}, got a scheduler"),
+            }
+        }
+        // Negative control: a move out of the last class into an emptied one
+        // applies, and the emptied trailing class goes.
+        let records = [base[0].clone(), base[1].clone(), remove(2, 0, &[(1, 0)])];
+        let replayed = replay_records(&view, config, &records).unwrap();
+        assert_eq!(replayed.color_classes(), vec![vec![1]]);
         // Errors render readable descriptions.
-        let err = replay_records(&view, config, &gap).unwrap_err();
+        let err = replay_records(&view, config, &[insert(5, 0, 0, 0)]).unwrap_err();
         assert!(err.to_string().contains("corrupt"));
         assert!(DurabilityError::NoSession
             .to_string()
@@ -910,22 +944,22 @@ mod tests {
     }
 
     #[test]
-    fn wal_records_round_trip_through_json() {
+    fn wal_records_round_trip_through_json_and_older_lines_do_not_parse() {
         let records = [
             WalRecord {
                 seq: 0,
-                event: WalEvent::Insert { item: 3, id: 0 },
+                event: WalEvent::Insert {
+                    item: 3,
+                    id: 0,
+                    color: 2,
+                },
             },
             WalRecord {
                 seq: 1,
-                event: WalEvent::Remove { id: 0 },
-            },
-            WalRecord {
-                seq: 2,
-                event: WalEvent::Recolor {
-                    id: 4,
-                    from: 2,
-                    to: 0,
+                event: WalEvent::Remove {
+                    id: 0,
+                    moves: vec![(4, 0), (6, 1)],
+                    cursor: 16,
                 },
             },
         ];
@@ -933,6 +967,14 @@ mod tests {
             let line = serde_json::to_string(&record).unwrap();
             let back: WalRecord = serde_json::from_str(&line).unwrap();
             assert_eq!(back, record);
+        }
+        // Lines of the format before records held their effects.
+        for old in [
+            r#"{"seq":0,"event":{"Insert":{"item":3,"id":0}}}"#,
+            r#"{"seq":1,"event":{"Remove":{"id":0}}}"#,
+            r#"{"seq":2,"event":{"Recolor":{"id":4,"from":2,"to":0}}}"#,
+        ] {
+            assert!(serde_json::from_str::<WalRecord>(old).is_err(), "{old}");
         }
     }
 }

@@ -251,14 +251,18 @@ pub struct RecolorMove {
 }
 
 /// The full effect of one departure event, as reported by
-/// [`DynamicScheduler::remove_traced`]: the departed engine item plus every
-/// recoloring migration the event triggered, in the order they were applied.
+/// [`DynamicScheduler::remove_traced`]: the departed engine item, every
+/// recoloring migration the event triggered, in the order they were applied,
+/// and the recoloring cursor it left.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Removal {
     /// The engine item that departed.
     pub item: usize,
     /// The bounded-recoloring migrations, in application order.
     pub moves: Vec<RecolorMove>,
+    /// The recoloring cursor after the event (see
+    /// [`SchedulerState::recolor_cursor`]).
+    pub cursor: usize,
 }
 
 /// One live request in a [`SchedulerState`]: its stable id and engine item.
@@ -273,11 +277,11 @@ pub struct StateMember {
 /// A serializable snapshot of a [`DynamicScheduler`]'s logical state: the
 /// coloring (members per class, in insertion order, including interior empty
 /// classes left by lazy compaction), the id counter and the recoloring
-/// cursor. Together with the underlying system and [`DynamicConfig`] this
-/// determines the scheduler's future behaviour exactly — restoring via
-/// [`DynamicScheduler::from_state`] and replaying the same events yields the
-/// same coloring bit-for-bit, which is what makes write-ahead-log recovery
-/// (`oblisched::durability`) cheap to verify.
+/// cursor. Restored via [`DynamicScheduler::from_state`], it fixes the
+/// coloring and future ids, and on an exact backend the future placements
+/// too; a conservative backend's verdicts also depend on its history, which
+/// is why write-ahead-log recovery (`oblisched::durability`) applies logged
+/// placements instead of re-deriving them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulerState {
     /// Members per color class, in insertion order. Trailing classes are
@@ -477,9 +481,9 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
     }
 
     /// [`remove`](DynamicScheduler::remove), additionally reporting every
-    /// recoloring migration the departure triggered — what a write-ahead log
-    /// records so recovery can cross-check the replayed migrations against
-    /// the logged ones.
+    /// recoloring migration the departure triggered and the cursor it left —
+    /// what a write-ahead log records so recovery can apply the departure
+    /// without re-running it.
     ///
     /// # Errors
     ///
@@ -502,6 +506,7 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
         Ok(Removal {
             item: entry.item,
             moves,
+            cursor: self.recolor_cursor,
         })
     }
 
@@ -560,10 +565,8 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
 
     /// Exports the scheduler's logical state — the coloring with its stable
     /// ids, the id counter and the recoloring cursor — as a serializable
-    /// [`SchedulerState`]. Restoring it with
-    /// [`from_state`](DynamicScheduler::from_state) over the same system and
-    /// config reproduces the scheduler exactly (same future placements,
-    /// same future ids).
+    /// [`SchedulerState`], which [`from_state`](DynamicScheduler::from_state)
+    /// restores over the same system and config.
     pub fn export_state(&self) -> SchedulerState {
         let classes = self
             .classes

@@ -20,8 +20,8 @@ use oblisched_metric::{MetricSpace, PlanarMetric};
 use oblisched_sinr::engine::{RowRef, MAX_PORTS};
 use oblisched_sinr::feasibility::VariantView;
 use oblisched_sinr::{
-    Evaluator, GainBackend, GainMatrix, Instance, InterferenceSystem, ObliviousPower, Schedule,
-    SinrError, SinrParams, SparseChurnMatrix, SparseConfig, SparseGainMatrix, Variant,
+    Evaluator, GainBackend, GainMatrix, Instance, InterferenceSystem, Schedule, SinrError,
+    SinrParams, SparseChurnMatrix, SparseConfig, SparseGainMatrix, Variant,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -334,6 +334,10 @@ impl Scheduler {
     ///   [`SinrParams::with_noise`] (parameters deserialized from data skip
     ///   them), or the sparse configuration, after the request's override,
     ///   fails [`SparseConfig::validate`] (both checked before any work),
+    /// * [`ScheduleError::Sinr`] with [`SinrError::InvalidPower`] — a power
+    ///   of the oblivious assignment the strategy runs is not positive and
+    ///   finite (a large exponent overflows it; checked before any
+    ///   coloring),
     /// * [`ScheduleError::UnsupportedVariant`] — a `Sqrt*` strategy was
     ///   requested for the directed variant,
     /// * [`ScheduleError::ValidationFailed`] — a produced multi-request
@@ -359,16 +363,35 @@ impl Scheduler {
             eff.sparse_config = sparse;
         }
         eff.sparse_config.validate()?;
+        let assignment = match request.strategy {
+            SolveStrategy::PowerControl => return eff.power_control_impl(instance),
+            SolveStrategy::SqrtColoring | SolveStrategy::SqrtDecomposition => {
+                PowerAssignment::SquareRoot
+            }
+            SolveStrategy::FirstFit | SolveStrategy::Parallel { .. } => request.assignment,
+        };
+        // One evaluator per run, its powers checked before any coloring: a
+        // large exponent can overflow them, and a schedule under infinite
+        // powers is not one.
+        let evaluator = instance.evaluator(params, &assignment.scheme());
+        if let Some((index, &value)) = evaluator
+            .powers()
+            .iter()
+            .enumerate()
+            .find(|&(_, &power)| !(power.is_finite() && power > 0.0))
+        {
+            return Err(SinrError::InvalidPower { index, value }.into());
+        }
         match request.strategy {
-            SolveStrategy::FirstFit => {
-                eff.first_fit_impl(instance, request.assignment, request.backend)
-            }
             SolveStrategy::Parallel { num_threads } => {
-                eff.parallel_impl(instance, request.assignment, num_threads, request.backend)
+                eff.parallel_impl(&evaluator, assignment, num_threads, request.backend)
             }
-            SolveStrategy::PowerControl => eff.power_control_impl(instance),
-            SolveStrategy::SqrtColoring => eff.sqrt_lp_impl(instance, request.seed),
-            SolveStrategy::SqrtDecomposition => eff.sqrt_decomposition_impl(instance, request.seed),
+            SolveStrategy::SqrtColoring => eff.sqrt_lp_impl(&evaluator, request.seed),
+            SolveStrategy::SqrtDecomposition => {
+                eff.sqrt_decomposition_impl(&evaluator, request.seed)
+            }
+            // FirstFit; PowerControl returned above.
+            _ => eff.first_fit_impl(&evaluator, assignment, request.backend),
         }
     }
 
@@ -383,13 +406,12 @@ impl Scheduler {
     /// `Auto`.
     fn first_fit_impl<M: MetricSpace + PlanarMetric>(
         &self,
-        instance: &Instance<M>,
+        evaluator: &Evaluator<'_, M>,
         assignment: PowerAssignment,
         policy: BackendPolicy,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let evaluator = instance.evaluator(self.params, &assignment.scheme());
         let view = evaluator.view(self.variant);
-        let (backend, engine) = self.select_backend(&view, instance.len(), 1, policy);
+        let (backend, engine) = self.select_backend(&view, evaluator.len(), 1, policy);
         let schedule = match &backend {
             SelectedBackend::Dense(matrix) => first_fit_coloring(matrix),
             SelectedBackend::Sparse(sparse) => first_fit_coloring(sparse.as_ref()),
@@ -400,7 +422,7 @@ impl Scheduler {
             BackendPolicy::Auto => Algorithm::FirstFitAuto,
         };
         let label = SolveLabel::new(algorithm, assignment.into());
-        self.check_first_fit(&schedule, &evaluator, &label)?;
+        self.check_first_fit(&schedule, evaluator, &label)?;
         Ok(ScheduleResult {
             schedule,
             powers: evaluator.powers().to_vec(),
@@ -416,16 +438,15 @@ impl Scheduler {
     /// contributions under `Exact`).
     fn parallel_impl<M: MetricSpace + PlanarMetric + Sync>(
         &self,
-        instance: &Instance<M>,
+        evaluator: &Evaluator<'_, M>,
         assignment: PowerAssignment,
         num_threads: usize,
         policy: BackendPolicy,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let evaluator = instance.evaluator(self.params, &assignment.scheme());
         let view = evaluator.view(self.variant);
-        let shards = tile_shards(instance, DEFAULT_TARGET_SHARDS);
+        let shards = tile_shards(evaluator.instance(), DEFAULT_TARGET_SHARDS);
         let config = ParallelConfig::with_threads(num_threads);
-        let (backend, engine) = self.select_backend(&view, instance.len(), num_threads, policy);
+        let (backend, engine) = self.select_backend(&view, evaluator.len(), num_threads, policy);
         let schedule = match &backend {
             SelectedBackend::Dense(matrix) => parallel_first_fit(matrix, &shards, &config),
             SelectedBackend::Sparse(sparse) => {
@@ -434,7 +455,7 @@ impl Scheduler {
             SelectedBackend::Fly(view) => parallel_first_fit(*view, &shards, &config),
         };
         let label = SolveLabel::new(Algorithm::ParallelFirstFit, assignment.into());
-        self.check_first_fit(&schedule, &evaluator, &label)?;
+        self.check_first_fit(&schedule, evaluator, &label)?;
         Ok(ScheduleResult {
             schedule,
             powers: evaluator.powers().to_vec(),
@@ -471,28 +492,29 @@ impl Scheduler {
 
     fn sqrt_lp_impl<M: MetricSpace>(
         &self,
-        instance: &Instance<M>,
+        evaluator: &Evaluator<'_, M>,
         seed: u64,
     ) -> Result<ScheduleResult, ScheduleError> {
         self.require_bidirectional(SolveStrategy::SqrtColoring)?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let config = SqrtColoringConfig::default();
-        let schedule = sqrt_coloring(instance, &self.params, &config, &mut rng);
+        let schedule = sqrt_coloring(evaluator.instance(), &self.params, &config, &mut rng);
         let label = SolveLabel::new(Algorithm::LpRounding, Assignment::SquareRoot);
-        self.certified_sqrt_result(instance, schedule, label)
+        self.certified_sqrt_result(evaluator, schedule, label)
     }
 
     fn sqrt_decomposition_impl<M: MetricSpace>(
         &self,
-        instance: &Instance<M>,
+        evaluator: &Evaluator<'_, M>,
         seed: u64,
     ) -> Result<ScheduleResult, ScheduleError> {
         self.require_bidirectional(SolveStrategy::SqrtDecomposition)?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let config = DecompositionConfig::default();
-        let schedule = sqrt_schedule_via_decomposition(instance, &self.params, &config, &mut rng);
+        let schedule =
+            sqrt_schedule_via_decomposition(evaluator.instance(), &self.params, &config, &mut rng);
         let label = SolveLabel::new(Algorithm::Decomposition, Assignment::SquareRoot);
-        self.certified_sqrt_result(instance, schedule, label)
+        self.certified_sqrt_result(evaluator, schedule, label)
     }
 
     fn require_bidirectional(&self, strategy: SolveStrategy) -> Result<(), ScheduleError> {
@@ -509,14 +531,13 @@ impl Scheduler {
     /// Validates a square-root-certified schedule and assembles its result.
     fn certified_sqrt_result<M: MetricSpace>(
         &self,
-        instance: &Instance<M>,
+        evaluator: &Evaluator<'_, M>,
         schedule: Schedule,
         label: SolveLabel,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let evaluator = instance.evaluator(self.params, &ObliviousPower::SquareRoot);
-        self.require_valid(&schedule, &evaluator, &label)?;
+        self.require_valid(&schedule, evaluator, &label)?;
         let engine = EngineStats::on_the_fly(
-            instance.len(),
+            evaluator.len(),
             evaluator.view(self.variant).num_ports(),
             self.matrix_budget,
         );
@@ -928,6 +949,36 @@ mod tests {
         }
         let params: SinrParams = serde_json::from_str(r#"{"alpha":3,"beta":1,"noise":0}"#).unwrap();
         assert!(Scheduler::new(params).solve(&inst, &request).is_ok());
+    }
+
+    #[test]
+    fn overflowing_powers_are_refused_before_any_coloring() {
+        use oblisched_instances::{build_family, Family, FamilyInstance};
+        let Ok(FamilyInstance::Planar(inst)) = build_family(Family::Scaling, 30, 1) else {
+            panic!("the scaling family is planar");
+        };
+        let at = |alpha| Scheduler::new(SinrParams::new(alpha, 1.0).unwrap());
+        // At alpha 300 the linear and square-root powers of the long links
+        // overflow, for every strategy that runs an oblivious assignment.
+        for request in [
+            SolveRequest::first_fit(PowerAssignment::Linear),
+            SolveRequest::first_fit(PowerAssignment::SquareRoot),
+            SolveRequest::sqrt_coloring(0),
+        ] {
+            let err = at(300.0).solve(&inst, &request).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ScheduleError::Sinr(SinrError::InvalidPower { value, .. }) if value.is_infinite()
+                ),
+                "{request:?}: {err:?}"
+            );
+        }
+        // Negative control: at alpha 60 they are huge but finite.
+        let result = at(60.0)
+            .solve(&inst, &SolveRequest::first_fit(PowerAssignment::Linear))
+            .unwrap();
+        assert!(result.total_energy().is_finite() && result.total_energy() > 1e60);
     }
 
     #[test]

@@ -114,9 +114,8 @@ pub struct OpenSpec {
     /// a typed `config_mismatch` error.
     pub config: Option<DynamicConfig>,
     /// Snapshot cadence (events per checkpoint). Absent means the durable
-    /// default when creating and the stored cadence when recovering a
-    /// closed session; present, it replaces the stored cadence. Re-opening
-    /// a live session keeps the cadence it runs under.
+    /// default when creating and the session's cadence when re-opening it,
+    /// live or closed; present, it replaces the session's cadence.
     pub checkpoint_every: Option<usize>,
     /// Backend fallback policy for the session's interference backend;
     /// absent means `Auto`.
@@ -125,8 +124,8 @@ pub struct OpenSpec {
 
 /// The session identity an [`OpenSpec`] pins on disk (`meta.json`): the
 /// universe and model the session was created over. Re-opening with a
-/// different identity is a typed `meta_mismatch` error — the WAL's events
-/// only replay against the exact same universe.
+/// different identity is a typed `meta_mismatch` error — the WAL's records
+/// only apply to the exact same universe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionMeta {
     /// The generator family of the universe instance.

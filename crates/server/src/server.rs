@@ -477,6 +477,8 @@ mod tests {
             // ...as the solve refuses an infinite exponent, which would do
             // the same to the solved reply's energy.
             r#"{"solve":{"family":"scaling","n":20,"seed":1,"request":{"strategy":"FirstFit","assignment":"SquareRoot","variant":"Bidirectional","seed":0,"backend":"Auto"},"params":{"alpha":1e999,"beta":1,"noise":0}}}"#,
+            // In-range params whose powers overflow get a typed error too.
+            r#"{"solve":{"family":"scaling","n":30,"seed":1,"request":{"strategy":"FirstFit","assignment":"Linear","variant":"Bidirectional","seed":0,"backend":"Auto"},"params":{"alpha":300,"beta":1,"noise":0}}}"#,
             // Out-of-range params are refused before a session is written.
             r#"{"session":{"open":{"name":"t","family":"scaling","n":20,"seed":1,"assignment":"SquareRoot","variant":"Bidirectional","params":{"alpha":0.5,"beta":1,"noise":0}}}}"#,
             r#"{"ping":{}}"#,
@@ -497,7 +499,14 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            ["opened", "bad_request", "schedule", "bad_request", "pong"],
+            [
+                "opened",
+                "bad_request",
+                "schedule",
+                "schedule",
+                "bad_request",
+                "pong"
+            ],
             "{responses:?}"
         );
     }

@@ -38,8 +38,8 @@ use std::thread::JoinHandle;
 use std::{fs, thread};
 
 /// The per-session identity file written next to the PR-6 `wal.jsonl` /
-/// `snapshot.json` pair: the family triple and model the WAL's events
-/// replay against.
+/// `snapshot.json` pair: the family triple and model the WAL's records
+/// apply to.
 pub const META_FILE: &str = "meta.json";
 
 /// The maximum accepted session-name length.
@@ -132,9 +132,10 @@ struct OpenMode {
 }
 
 enum SessionCommand {
-    /// Re-open of a live session: config check + counters.
+    /// Re-open of a live session: config check, cadence update + counters.
     Attach {
         config: Option<DynamicConfig>,
+        checkpoint_every: Option<usize>,
         reply: Sender<Result<OpenedInfo, WireError>>,
     },
     Insert {
@@ -304,6 +305,7 @@ impl SessionRegistry {
             }
             let result = handle.call(|reply| SessionCommand::Attach {
                 config: spec.config,
+                checkpoint_every: spec.checkpoint_every,
                 reply,
             });
             if matches!(&result, Err(e) if e.kind == WireErrorKind::Internal) {
@@ -603,7 +605,11 @@ fn actor_loop<M: MetricSpace + PlanarMetric>(
 
     while let Ok(command) = rx.recv() {
         match command {
-            SessionCommand::Attach { config, reply } => {
+            SessionCommand::Attach {
+                config,
+                checkpoint_every,
+                reply,
+            } => {
                 let stored = session.scheduler().config();
                 let result = match config {
                     Some(requested) if requested != stored => Err(WireError {
@@ -615,7 +621,12 @@ fn actor_loop<M: MetricSpace + PlanarMetric>(
                         stored: Some(stored),
                         requested: Some(requested),
                     }),
-                    _ => Ok(opened_info(&session, true)),
+                    _ => {
+                        if let Some(every) = checkpoint_every {
+                            session.set_checkpoint_every(every);
+                        }
+                        Ok(opened_info(&session, true))
+                    }
                 };
                 let _ = reply.send(result);
             }
@@ -639,18 +650,16 @@ fn actor_loop<M: MetricSpace + PlanarMetric>(
             }
             SessionCommand::Remove { id, reply } => {
                 let rid = RequestId::from_raw(id);
-                let before = session.next_seq();
-                let result = session.remove(rid).map_err(WireError::from).map(|item| {
-                    // The WAL gets one record for the removal itself plus
-                    // one per recoloring migration it triggered.
-                    let moves = (session.next_seq() - before).saturating_sub(1) as usize;
-                    RemovedInfo {
-                        name: name.clone(),
-                        id,
-                        item,
-                        moves,
-                    }
-                });
+                let result =
+                    session
+                        .remove(rid)
+                        .map_err(WireError::from)
+                        .map(|removal| RemovedInfo {
+                            name: name.clone(),
+                            id,
+                            item: removal.item,
+                            moves: removal.moves.len(),
+                        });
                 let _ = reply.send(result);
             }
             SessionCommand::Color { id, reply } => {
@@ -863,6 +872,34 @@ mod tests {
         let snapshot: oblisched::durability::SessionSnapshot =
             serde_json::from_str(&snapshot).expect("parse snapshot");
         assert_eq!(snapshot.checkpoint_every, 8);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopening_a_live_session_applies_the_requested_cadence() {
+        let dir = temp_dir("live-cadence");
+        let registry = SessionRegistry::new(&dir).expect("registry");
+        let mut first = spec("s1");
+        first.checkpoint_every = Some(8);
+        assert!(!registry.open(&first).expect("open").recovered);
+        // Re-open while the session is still live, asking for cadence 2.
+        let mut again = spec("s1");
+        again.checkpoint_every = Some(2);
+        assert!(registry.open(&again).expect("re-open").recovered);
+        for item in 0..3 {
+            registry.insert("s1", item).expect("insert");
+        }
+        // The second insert was a checkpoint under the new cadence.
+        let snapshot =
+            fs::read_to_string(dir.join("s1").join(DiskStore::SNAPSHOT_FILE)).expect("snapshot");
+        let snapshot: oblisched::durability::SessionSnapshot =
+            serde_json::from_str(&snapshot).expect("parse snapshot");
+        assert_eq!(
+            (snapshot.checkpoint_every, snapshot.next_seq),
+            (2, 2),
+            "the live re-open must apply the requested cadence"
+        );
+        registry.shutdown_all();
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,11 @@
 //! sessions, churn them, SIGKILL the daemon mid-churn (no close, no final
 //! checkpoint — crash-point style per the PR-6 durability tests), restart
 //! it over the same data directory, and assert every session's recovered
-//! coloring is bit-for-bit the pre-crash state and naive-certified.
+//! coloring is bit-for-bit the pre-crash state and naive-certified — on the
+//! dense tier and on the sparse tier the daemon picks past the dense
+//! budget.
 
+use oblisched::scheduler::EngineBackend;
 use oblisched::solve::PowerAssignment;
 use oblisched_instances::{churn_trace_for, ChurnEvent, ChurnTrace, Family};
 use oblisched_server::load::Client;
@@ -88,12 +91,14 @@ fn open_spec(name: &str, seed: u64) -> OpenSpec {
 
 /// One session of the crash test and the seed-pinned churn trace it
 /// replays: `num_events` events around `target_live` live requests, with
-/// the daemon killed after `crash_after` of them.
+/// the daemon killed after `crash_after` of them; `backend` is the tier the
+/// daemon must pick for it.
 struct CrashSession {
     spec: OpenSpec,
     target_live: usize,
     num_events: usize,
     crash_after: usize,
+    backend: EngineBackend,
 }
 
 impl CrashSession {
@@ -111,7 +116,10 @@ impl CrashSession {
 /// snapshot, then one per other cadence: scaling/sqrt every 8 events,
 /// clustered/uniform/directed after every event, and line/linear every 64
 /// events, killed one event before its trace ends with no checkpoint since
-/// creation.
+/// creation. The last session's universe is past the 64 MiB dense budget
+/// (8 · 2 · 2100² ≈ 70.6 MB), so it runs on the sparse tier at the
+/// configuration the daemon serves, with a log tail past its snapshot at
+/// the kill.
 fn crash_sessions() -> Vec<CrashSession> {
     let mut sessions: Vec<CrashSession> = (0..3)
         .map(|i| CrashSession {
@@ -119,6 +127,7 @@ fn crash_sessions() -> Vec<CrashSession> {
             target_live: 40,
             num_events: 120,
             crash_after: 70,
+            backend: EngineBackend::Dense,
         })
         .collect();
     sessions.extend([
@@ -131,6 +140,7 @@ fn crash_sessions() -> Vec<CrashSession> {
             target_live: 18,
             num_events: 80,
             crash_after: 41,
+            backend: EngineBackend::Dense,
         },
         CrashSession {
             spec: OpenSpec {
@@ -144,6 +154,7 @@ fn crash_sessions() -> Vec<CrashSession> {
             target_live: 14,
             num_events: 60,
             crash_after: 30,
+            backend: EngineBackend::Dense,
         },
         CrashSession {
             spec: OpenSpec {
@@ -156,6 +167,18 @@ fn crash_sessions() -> Vec<CrashSession> {
             target_live: 12,
             num_events: 50,
             crash_after: 49,
+            backend: EngineBackend::Dense,
+        },
+        CrashSession {
+            spec: OpenSpec {
+                n: 2100,
+                checkpoint_every: Some(16),
+                ..open_spec("crash-sparse", 14)
+            },
+            target_live: 200,
+            num_events: 220,
+            crash_after: 171,
+            backend: EngineBackend::Sparse,
         },
     ]);
     sessions
@@ -220,7 +243,10 @@ fn killed_daemon_recovers_every_session_bit_for_bit() {
         for session in &sessions {
             let name = &session.spec.name;
             match client.request(&session.open()).expect("open") {
-                WireResponse::Opened(info) => assert!(!info.recovered, "fresh session"),
+                WireResponse::Opened(info) => {
+                    assert!(!info.recovered, "fresh session");
+                    assert_eq!(info.engine.backend, session.backend, "{name}: backend tier");
+                }
                 other => panic!("open answered {other:?}"),
             }
             let trace = session.trace();

@@ -101,7 +101,7 @@ use prune::{Aggregates, BuiltRow, Pads, Scratch, SparseCore};
 pub mod churn;
 mod prune;
 
-pub use churn::{SparseChurnMatrix, DEFAULT_REFRESH_INTERVAL};
+pub use churn::SparseChurnMatrix;
 
 /// Construction knobs of the sparse tiers ([`SparseGainMatrix`] and
 /// [`SparseChurnMatrix`]).

@@ -27,16 +27,12 @@
 //!   entry (when its inflated contribution reaches the row's cutoff) or adds
 //!   to the row's dropped-mass pad; a departure removes the stored entry or
 //!   subtracts from the pad with the *deflated* bound described below;
-//! * a **staleness guard** counts the patches applied to each row and can
-//!   trigger a localized rebuild (one row, against the current live
-//!   aggregates) after
-//!   [`with_refresh_interval`](SparseChurnMatrix::with_refresh_interval)
-//!   mutations. The default ([`DEFAULT_REFRESH_INTERVAL`]) is never: a row
-//!   is rebuilt only when one of its pads turns non-finite. Timed rebuilds
-//!   buy no conservativeness (the deflated subtraction below holds at any
-//!   interval), and a rebuild does not tighten pads in general: it bounds
-//!   far tiles by their aggregates, where the patches hold the exact
-//!   contributions of the requests that arrived since.
+//! * a row is **rebuilt** (one row, against the current live aggregates)
+//!   only when one of its pads turns non-finite. A rebuild would buy no
+//!   conservativeness (the deflated subtraction below holds for any patch
+//!   history), and it does not tighten pads in general: it bounds far tiles
+//!   by their aggregates, where the patches hold the exact contributions of
+//!   the requests that arrived since.
 //!
 //! # The corrected departure bound
 //!
@@ -53,7 +49,7 @@
 //! one part in `10^12` dwarfs half an ulp). Each out/in cycle of a pruned
 //! request therefore leaves a small *non-negative* residue in the pad —
 //! staleness, which costs a little precision, never unsoundness, and needs
-//! no rebuild at any refresh interval. The regression test
+//! no rebuild. The regression test
 //! `departure_subtraction_never_erodes_the_pad` pins this bound.
 //!
 //! # Determinism and durable replay
@@ -64,17 +60,13 @@
 //! patch order and rebuilds (the tile pruning bound dominates every member's
 //! contribution, so a pruned tile can never hide a stored-worthy pair). The
 //! *pads*, however, depend on when a row was materialised and how it was
-//! patched since. With `refresh_interval == 1` every patch becomes a
-//! rebuild, which makes the pads — and therefore every verdict — a pure
-//! function of the live set as well; the sparse crash-point suite pins
-//! durable recovery in that configuration. The daemon's durable sessions
-//! run the default, [`DEFAULT_REFRESH_INTERVAL`], which never rebuilds on a
-//! timer: each event costs one patch per materialised row and verdicts stay
-//! conservative, but they depend on the mutation history. Write-ahead-log
-//! recovery re-derives placements instead of replaying them, so a log tail
-//! replayed on a fresh backend can place a request differently from the
-//! recorded run, and recovery then reports the log as corrupt; recovery
-//! from a snapshot with no tail restores the state exactly.
+//! patched since, so the verdicts are conservative at every state but
+//! depend on the mutation history: two backends with the same live set can
+//! place the next request differently. Durable sessions therefore never ask
+//! this backend to re-derive a past placement. Their write-ahead log records
+//! what each event did (the color of an insert, the moves of a removal), and
+//! recovery applies the records as data and rebuilds the backend once from
+//! the recovered live set (`oblisched::durability`).
 
 use std::cell::RefCell;
 
@@ -83,12 +75,6 @@ use super::SparseConfig;
 use crate::engine::{item_id, item_index, GainBackend, MAX_PORTS};
 use crate::feasibility::{InterferenceSystem, VariantView};
 use oblisched_metric::{MetricSpace, PlanarMetric};
-
-/// Default staleness-guard interval: never. A materialised row is patched
-/// on every event and rebuilt only when one of its pads turns non-finite;
-/// the [module docs](self) say why timed rebuilds are not needed. The
-/// daemon's durable sessions run this default.
-pub const DEFAULT_REFRESH_INTERVAL: usize = usize::MAX;
 
 /// Which items are live, and the grid aggregates of exactly those items.
 #[derive(Debug, Clone)]
@@ -99,14 +85,12 @@ struct LiveState {
 
 /// One lazily-materialised row: the stored entries (live interferers at or
 /// above the row's cutoff, sorted by index, in structure-of-arrays form —
-/// parallel column/value vectors), the dropped-mass pads, and the
-/// staleness-guard patch counter.
+/// parallel column/value vectors) and the dropped-mass pads.
 #[derive(Debug, Clone)]
 struct ChurnRow {
     cols: Vec<u32>,
     vals: Vec<f64>,
     pads: Pads,
-    mutations: usize,
 }
 
 impl ChurnRow {
@@ -116,7 +100,6 @@ impl ChurnRow {
             cols: row.entries.iter().map(|e| e.j).collect(),
             vals: row.entries.iter().map(|e| e.v).collect(),
             pads: row.pads,
-            mutations: 0,
         }
     }
 
@@ -181,7 +164,6 @@ struct RowStore {
 #[derive(Debug)]
 pub struct SparseChurnMatrix {
     core: SparseCore,
-    refresh_interval: usize,
     state: RefCell<LiveState>,
     store: RefCell<RowStore>,
     scratch: RefCell<Scratch>,
@@ -214,27 +196,8 @@ impl SparseChurnMatrix {
                 materialized: Vec::new(),
             }),
             scratch: RefCell::new(Scratch::new(n)),
-            refresh_interval: DEFAULT_REFRESH_INTERVAL,
             core,
         }
-    }
-
-    /// Returns a copy-by-move with the staleness-guard interval replaced:
-    /// a materialised row is rebuilt against the current live aggregates
-    /// after this many patches. `1` makes every verdict a pure function of
-    /// the live set, so a replayed log tail re-derives the recorded
-    /// placements (see the [module docs](self)). Verdicts are conservative
-    /// at every interval; the default, [`DEFAULT_REFRESH_INTERVAL`], never
-    /// rebuilds on a timer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn with_refresh_interval(mut self, interval: usize) -> Self {
-        assert!(interval >= 1, "refresh interval must be at least 1");
-        self.refresh_interval = interval;
-        self
     }
 
     /// Number of live requests currently holding a materialised CSR row.
@@ -332,9 +295,8 @@ impl SparseChurnMatrix {
     /// row. An arrival inserts a stored entry when the inflated contribution
     /// reaches the row's cutoff and otherwise folds it into the pad; a
     /// departure removes the stored entry or applies the corrected deflated
-    /// subtraction to the pad (see the [module docs](self)). A row whose
-    /// guard count reaches the refresh interval, or whose pad turns
-    /// non-finite, is rebuilt instead.
+    /// subtraction to the pad (see the [module docs](self)). A row whose pad
+    /// turns non-finite is rebuilt instead.
     fn set_live(&self, item: usize, live: bool) {
         assert!(item < self.core.n, "item {item} out of range");
         {
@@ -360,8 +322,7 @@ impl SparseChurnMatrix {
                 debug_assert!(false, "materialized list tracks every row");
                 continue;
             };
-            row.mutations += 1;
-            if row.mutations >= self.refresh_interval || !self.patch(row, i, item, live) {
+            if !self.patch(row, i, item, live) {
                 *row = self.fresh_row(&st, i);
             }
         }
@@ -641,7 +602,7 @@ mod tests {
         }
     }
 
-    /// The satellite-3 regression: with the guard held off, a pruned request
+    /// The departure-bound regression: a pruned request
     /// cycling out and in many times must never push the tracked pad below
     /// the true live dropped mass — the deflate-then-reinflate subtraction
     /// leaves a non-negative residue per cycle where subtracting the stored
@@ -655,9 +616,9 @@ mod tests {
             cutoff_fraction: 0.05,
             ..SparseConfig::default()
         };
-        // Hold the staleness guard far out of reach so every cycle is pure
-        // patch arithmetic.
-        let m = SparseChurnMatrix::new(&view, &config).with_refresh_interval(usize::MAX);
+        // Rows are only patched, never rebuilt, so every cycle is pure patch
+        // arithmetic.
+        let m = SparseChurnMatrix::new(&view, &config);
         // A far pair: row 0 watches, item 11 (other corner) cycles.
         m.note_arrival(0);
         m.note_arrival(11);
@@ -689,108 +650,6 @@ mod tests {
                 );
             }
             last = tracked;
-        }
-    }
-
-    #[test]
-    fn refresh_interval_one_rebuilds_to_the_pure_live_set_function() {
-        let inst = planar_instance();
-        let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
-        for variant in Variant::all() {
-            let view = eval.view(variant);
-            let config = SparseConfig {
-                cutoff_fraction: 0.05,
-                ..SparseConfig::default()
-            };
-            let n = inst.len();
-            let patched = SparseChurnMatrix::new(&view, &config).with_refresh_interval(1);
-            let mut live: Vec<usize> = Vec::new();
-            for k in 0..30usize {
-                let item = (k * 5 + 1) % n;
-                if k % 3 == 2 && live.contains(&item) {
-                    patched.note_departure(item);
-                    live.retain(|&x| x != item);
-                } else if !live.contains(&item) {
-                    patched.note_arrival(item);
-                    live.push(item);
-                }
-                // Touch every live row so patches (here: rebuilds) apply.
-                for &i in &live {
-                    let _ = pads_of(&patched, i).mass;
-                }
-                // A fresh backend replaying only the *final* live set must
-                // agree bit-for-bit on every row: pads at interval 1 are a
-                // pure function of the live set.
-                let fresh = SparseChurnMatrix::new(&view, &config).with_refresh_interval(1);
-                for &i in &live {
-                    fresh.note_arrival(i);
-                }
-                for &i in &live {
-                    assert_eq!(
-                        pads_of(&patched, i).mass.to_bits(),
-                        pads_of(&fresh, i).mass.to_bits(),
-                        "row {i} pad diverged from the pure rebuild under {variant}"
-                    );
-                    assert_eq!(
-                        pads_of(&patched, i).cap.to_bits(),
-                        pads_of(&fresh, i).cap.to_bits()
-                    );
-                }
-            }
-        }
-    }
-
-    /// The default guard never rebuilds on a timer: through a long churn
-    /// trace, a default-built matrix keeps every live row's pads bit for bit
-    /// equal to those of a matrix whose interval is out of reach. A matrix
-    /// at interval 64, whose guard fires within the trace, diverges (the
-    /// negative control).
-    #[test]
-    fn default_interval_never_rebuilds_on_a_timer() {
-        let inst = planar_instance();
-        let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
-        let n = inst.len();
-        for variant in Variant::all() {
-            let view = eval.view(variant);
-            let config = SparseConfig {
-                cutoff_fraction: 0.05,
-                ..SparseConfig::default()
-            };
-            let default = SparseChurnMatrix::new(&view, &config);
-            let never = SparseChurnMatrix::new(&view, &config).with_refresh_interval(usize::MAX);
-            let timed = SparseChurnMatrix::new(&view, &config).with_refresh_interval(64);
-            let pads = |m: &SparseChurnMatrix, i: usize| {
-                let pads = pads_of(m, i);
-                (pads.mass.to_bits(), pads.cap.to_bits())
-            };
-            // Four anchors arrive first and stay, so their rows outlive the
-            // 64-patch guard; the other eight toggle in and out.
-            let events = (0..4).chain((0..240usize).map(|k| 4 + (k * 5 + k / 8) % (n - 4)));
-            let mut live = vec![false; n];
-            let mut timed_diverged = false;
-            for (step, item) in events.enumerate() {
-                live[item] = !live[item];
-                for m in [&default, &never, &timed] {
-                    if live[item] {
-                        m.note_arrival(item);
-                    } else {
-                        m.note_departure(item);
-                    }
-                }
-                for i in (0..n).filter(|&i| live[i]) {
-                    assert_eq!(
-                        pads(&default, i),
-                        pads(&never, i),
-                        "step {step}: row {i} of the default matrix was rebuilt under {variant}"
-                    );
-                    timed_diverged |= pads(&timed, i) != pads(&never, i);
-                }
-            }
-            assert!(
-                timed_diverged,
-                "the interval-64 guard never changed a pad under {variant}: the trace \
-                 does not exercise timed rebuilds"
-            );
         }
     }
 

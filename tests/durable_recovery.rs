@@ -4,6 +4,9 @@
 //! torn final line — paired with every snapshot that could have been on
 //! disk at that point, and recovery must reproduce the pre-crash coloring
 //! bit-for-bit, certified through the naive-evaluator `validate()` path.
+//! The same holds on the churn-capable sparse tier at its default
+//! configuration, whose verdicts depend on the backend's history: recovery
+//! applies the logged placements instead of re-deriving them.
 //!
 //! Like `dynamic_churn.rs`, the workload is build-profile dependent: the
 //! debug run keeps the tier-1 suite fast, the release run (wired into
@@ -57,6 +60,38 @@ fn apply<S: GainBackend + ?Sized, St: SessionStore>(
     }
 }
 
+/// The byte offset past each line's newline of a recorded WAL, which must
+/// end with a newline.
+fn index_log(wal: &[u8]) -> Vec<usize> {
+    let text = std::str::from_utf8(wal).unwrap();
+    let mut offset = 0usize;
+    let ends: Vec<usize> = text
+        .split_inclusive('\n')
+        .map(|line| {
+            offset += line.len();
+            offset
+        })
+        .collect();
+    assert_eq!(
+        offset,
+        wal.len(),
+        "the recorded WAL must end with a newline"
+    );
+    ends
+}
+
+/// The number of Remove records of a WAL that carry recoloring moves.
+fn moved_records(wal: &[u8]) -> usize {
+    std::str::from_utf8(wal)
+        .unwrap()
+        .lines()
+        .map(|line| serde_json::from_str::<WalRecord>(line).unwrap())
+        .filter(
+            |record| matches!(&record.event, WalEvent::Remove { moves, .. } if !moves.is_empty()),
+        )
+        .count()
+}
+
 #[test]
 fn every_wal_truncation_recovers_the_pre_crash_state() {
     let (n, target, events, k) = CRASH;
@@ -94,33 +129,18 @@ fn every_wal_truncation_recovers_the_pre_crash_state() {
     drop(session); // crash: only the files survive
     let wal = fs::read(record_dir.join(DiskStore::WAL_FILE)).unwrap();
 
-    // Index the log: the byte offset past each line's newline, and whether
-    // the line is an insert/remove (an *event* — Recolor records are
-    // verification-only and do not advance the reference index).
-    let text = std::str::from_utf8(&wal).unwrap();
-    let mut line_ends: Vec<(usize, bool)> = Vec::new();
-    let mut offset = 0usize;
-    for line in text.split_inclusive('\n') {
-        offset += line.len();
-        let record: WalRecord = serde_json::from_str(line.trim_end()).unwrap();
-        let is_event = !matches!(record.event, WalEvent::Recolor { .. });
-        line_ends.push((offset, is_event));
-    }
-    assert_eq!(
-        offset,
-        wal.len(),
-        "the recorded WAL must end with a newline"
-    );
-    let event_records = line_ends.iter().filter(|(_, e)| *e).count();
-    assert_eq!(event_records, events, "one insert/remove record per event");
+    // Index the log: the byte offset past each line's newline. Every line
+    // is one event.
+    let line_ends = index_log(&wal);
+    assert_eq!(line_ends.len(), events, "one record per event");
     assert!(
-        line_ends.len() > events,
-        "the trace must trigger recoloring migrations (Recolor records)"
+        moved_records(&wal) > 0,
+        "the trace must trigger recoloring migrations (Remove records with moves)"
     );
 
     // The sweep: truncate the WAL at every byte offset. `ev` counts the
-    // insert/remove records among the complete (newline-terminated) lines —
-    // the events recovery must reproduce; a torn final line must be dropped.
+    // complete (newline-terminated) lines — the events recovery must
+    // reproduce; a torn final line must be dropped.
     // Each truncation is paired with both snapshots that can coexist with it
     // on disk: the one taken after event `ev` (checkpoint already written
     // when the crash hit) and the one before it (crash between the append
@@ -128,15 +148,11 @@ fn every_wal_truncation_recovers_the_pre_crash_state() {
     let crash_dir = scratch_dir("crash");
     let crash_wal = crash_dir.join(DiskStore::WAL_FILE);
     let crash_snapshot = crash_dir.join(DiskStore::SNAPSHOT_FILE);
-    let mut complete = 0usize;
     let mut ev = 0usize;
     let mut validated: HashSet<(usize, usize)> = HashSet::new();
     for b in 0..=wal.len() {
-        while complete < line_ends.len() && line_ends[complete].0 <= b {
-            if line_ends[complete].1 {
-                ev += 1;
-            }
-            complete += 1;
+        while ev < line_ends.len() && line_ends[ev] <= b {
+            ev += 1;
         }
         let mut candidates = vec![ev];
         let prev = ev.saturating_sub(1);
@@ -155,9 +171,9 @@ fn every_wal_truncation_recovers_the_pre_crash_state() {
                 "recovered coloring diverges at byte {b}/snapshot {s} ({ev} events durable)"
             );
             // Certify each distinct recovered scheduler once, at the record
-            // boundary where it first appears: mid-line truncations recover
-            // byte-identical files modulo dropped verification records, so
-            // they rebuild the very scheduler already certified.
+            // boundary where it first appears: a mid-line truncation drops
+            // its torn line, so it rebuilds the very scheduler already
+            // certified.
             let at_boundary = b == 0 || wal[b - 1] == b'\n';
             if at_boundary && validated.insert((ev, s)) {
                 recovered.scheduler().validate().unwrap_or_else(|e| {
@@ -183,14 +199,14 @@ const SPARSE_CRASH: (usize, usize, usize, usize) = (120, 72, 360, 12);
 #[test]
 fn every_wal_truncation_recovers_the_sparse_backed_state() {
     // The durability guarantee: the truncate-at-every-byte sweep
-    // over a session running on the churn-capable **sparse** backend, where
-    // recovery rebuilds the spatial grid from scratch and must still
-    // reproduce the pre-crash coloring bit-for-bit. `refresh_interval(1)`
-    // makes the backend's verdicts a pure function of the live set (every
-    // materialized row is rebuilt from the live aggregates after each
-    // event), so WAL replay on a *fresh* backend re-derives exactly the
-    // recorded placements; a coarse cutoff makes the conservative pads, not
-    // just stored entries, part of the replayed verdicts.
+    // over a session running on the churn-capable **sparse** backend at its
+    // default (patched pads, never rebuilt on a timer), where recovery
+    // rebuilds the spatial grid from scratch and must still reproduce the
+    // pre-crash coloring bit-for-bit. The backend's verdicts depend on its
+    // mutation history, which a fresh backend does not share; recovery
+    // holds because it applies the logged placements instead of asking the
+    // backend again. A coarse cutoff makes the conservative pads, not just
+    // stored entries, part of the recorded verdicts.
     let (n, target, events, k) = SPARSE_CRASH;
     let (instance, trace) = churn_uniform(n, target, events, 47);
     assert_eq!(trace.len(), events);
@@ -201,10 +217,11 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
         cutoff_fraction: 0.05,
         ..SparseConfig::default()
     };
-    let fresh_backend = || SparseChurnMatrix::new(&view, &sparse_config).with_refresh_interval(1);
+    let fresh_backend = || SparseChurnMatrix::new(&view, &sparse_config);
     let config = DynamicConfig::default();
 
-    // Ground truth per prefix, replayed on its own fresh sparse backend.
+    // Ground truth per prefix, replayed on its own fresh sparse backend: the
+    // same events from an empty backend make the same history.
     let reference_backend = fresh_backend();
     let mut reference: Vec<SchedulerState> = Vec::with_capacity(events + 1);
     reference.push(DynamicScheduler::with_config(&reference_backend, config).export_state());
@@ -212,8 +229,8 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
         reference.push(sched.export_state());
     });
 
-    // Recording run on another fresh sparse backend: identical verdicts to
-    // the reference replay is itself part of the purity contract.
+    // Recording run on another fresh sparse backend, with the same history
+    // as the reference replay.
     let record_dir = scratch_dir("sparse-record");
     let snapshot_path = record_dir.join(DiskStore::SNAPSHOT_FILE);
     let record_backend = fresh_backend();
@@ -230,22 +247,12 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
     drop(session); // crash: only the files survive
     let wal = fs::read(record_dir.join(DiskStore::WAL_FILE)).unwrap();
 
-    let text = std::str::from_utf8(&wal).unwrap();
-    let mut line_ends: Vec<(usize, bool)> = Vec::new();
-    let mut offset = 0usize;
-    for line in text.split_inclusive('\n') {
-        offset += line.len();
-        let record: WalRecord = serde_json::from_str(line.trim_end()).unwrap();
-        let is_event = !matches!(record.event, WalEvent::Recolor { .. });
-        line_ends.push((offset, is_event));
-    }
-    assert_eq!(
-        offset,
-        wal.len(),
-        "the recorded WAL must end with a newline"
+    let line_ends = index_log(&wal);
+    assert_eq!(line_ends.len(), events, "one record per event");
+    assert!(
+        moved_records(&wal) > 0,
+        "the trace must trigger recoloring migrations (Remove records with moves)"
     );
-    let event_records = line_ends.iter().filter(|(_, e)| *e).count();
-    assert_eq!(event_records, events, "one insert/remove record per event");
 
     // The sweep, as in the dense harness — but every recovery attempt gets
     // a brand-new sparse backend (fresh grid, no materialized rows), the
@@ -253,15 +260,11 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
     let crash_dir = scratch_dir("sparse-crash");
     let crash_wal = crash_dir.join(DiskStore::WAL_FILE);
     let crash_snapshot = crash_dir.join(DiskStore::SNAPSHOT_FILE);
-    let mut complete = 0usize;
     let mut ev = 0usize;
     let mut validated: HashSet<(usize, usize)> = HashSet::new();
     for b in 0..=wal.len() {
-        while complete < line_ends.len() && line_ends[complete].0 <= b {
-            if line_ends[complete].1 {
-                ev += 1;
-            }
-            complete += 1;
+        while ev < line_ends.len() && line_ends[ev] <= b {
+            ev += 1;
         }
         let mut candidates = vec![ev];
         let prev = ev.saturating_sub(1);
@@ -301,6 +304,48 @@ fn every_wal_truncation_recovers_the_sparse_backed_state() {
     assert!(validated.len() > events, "every record boundary certified");
     let _ = fs::remove_dir_all(&record_dir);
     let _ = fs::remove_dir_all(&crash_dir);
+}
+
+/// (universe n, target live, events, checkpoint cadence K) for the prefix
+/// recovery on the served sparse configuration.
+#[cfg(debug_assertions)]
+const SPARSE_PREFIX: (usize, usize, usize, usize) = (200, 120, 400, 37);
+#[cfg(not(debug_assertions))]
+const SPARSE_PREFIX: (usize, usize, usize, usize) = (300, 180, 1200, 37);
+
+#[test]
+fn every_prefix_recovers_exactly_on_the_default_sparse_backend() {
+    // The configuration the daemon serves above the dense budget: the
+    // default `SparseConfig` with patched pads, whose verdicts depend on
+    // the backend's history. After every event a copy of the store is
+    // recovered onto a fresh backend, which shares none of that history,
+    // and the recovered coloring must be the live one.
+    let (n, target, events, k) = SPARSE_PREFIX;
+    let (instance, trace) = churn_uniform(n, target, events, 3);
+    let eval = instance.evaluator(SinrParams::default(), &ObliviousPower::SquareRoot);
+    let view = eval.view(Variant::Bidirectional);
+    let sparse_config = SparseConfig::default();
+    let backend = SparseChurnMatrix::new(&view, &sparse_config);
+    let config = DynamicConfig::default();
+    let mut session = DurableScheduler::create(&backend, config, k, MemoryStore::new()).unwrap();
+    let mut diverged = Vec::new();
+    for (index, &event) in trace.events.iter().enumerate() {
+        apply(&mut session, event);
+        let fresh = SparseChurnMatrix::new(&view, &sparse_config);
+        let recovered = DurableScheduler::recover(&fresh, session.store().clone());
+        if !recovered
+            .is_ok_and(|r| r.scheduler().export_state() == session.scheduler().export_state())
+        {
+            diverged.push(index + 1);
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "recovery came back wrong or failed for {} of {events} prefixes, after these event \
+         counts: {diverged:?}",
+        diverged.len()
+    );
+    session.scheduler().validate_against(&view).unwrap();
 }
 
 #[test]
@@ -388,6 +433,38 @@ fn disk_recovery_error_paths_are_typed() {
         Err(e) => panic!("expected Corrupt at seq 1, got {e}"),
         Ok(_) => panic!("expected Corrupt at seq 1, got a recovered session"),
     }
+
+    // A tail in the format before records held their effects (an Insert
+    // without its color) is refused the same way.
+    let current = fs::read_to_string(&wal_path).unwrap();
+    let first = current.find('\n').unwrap();
+    let old = r#"{"seq":0,"event":{"Insert":{"item":0,"id":0}}}"#;
+    fs::write(&wal_path, format!("{old}{}", &current[first..])).unwrap();
+    let store = DiskStore::open(&session_dir).unwrap();
+    assert!(matches!(
+        DurableScheduler::recover(&view, store),
+        Err(DurabilityError::Corrupt { seq: Some(0), .. })
+    ));
+    fs::write(&wal_path, &current).unwrap();
+
+    // A snapshot that covers every old-format line, as a clean close leaves
+    // it, recovers without reading them, and the session logs on after them.
+    let upgraded = dir.join("upgraded");
+    let store = DiskStore::open(&upgraded).unwrap();
+    let mut session = DurableScheduler::create(&view, config, 1000, store).unwrap();
+    apply(&mut session, trace.events[0]);
+    session.checkpoint().unwrap();
+    drop(session);
+    fs::write(upgraded.join(DiskStore::WAL_FILE), format!("{old}\n")).unwrap();
+    let store = DiskStore::open(&upgraded).unwrap();
+    let mut session = DurableScheduler::recover(&view, store).unwrap();
+    apply(&mut session, trace.events[1]);
+    let expected = session.scheduler().export_state();
+    drop(session);
+    let store = DiskStore::open(&upgraded).unwrap();
+    let recovered = DurableScheduler::recover(&view, store).unwrap();
+    assert_eq!(recovered.scheduler().export_state(), expected);
+    assert_eq!(recovered.scheduler().len(), 2);
 
     // Truncating the same WAL to an unterminated prefix of its first line
     // is a torn write: recovery succeeds with zero events replayed.

@@ -11,18 +11,10 @@
 
 use oblisched::dynamic::{DynamicScheduler, RequestId};
 use oblisched_instances::scaling_uniform;
-use oblisched_sinr::engine::sparse::DEFAULT_REFRESH_INTERVAL;
 use oblisched_sinr::{
     InterferenceSystem, ObliviousPower, SinrParams, SparseChurnMatrix, SparseConfig, Variant,
 };
 use proptest::prelude::*;
-
-/// The staleness-guard cadences the interleaving sweep exercises: rebuild on
-/// every event (pure function of the live set), a small interval (patches and
-/// rebuilds mix), a 64-patch interval, and the default the daemon's sessions
-/// run (never rebuild on a timer: pure patching). A case has fewer than 48
-/// ops, so at 64 the guard never fires either.
-const REFRESH_INTERVALS: [usize; 4] = [1, 3, 64, DEFAULT_REFRESH_INTERVAL];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -31,12 +23,10 @@ proptest! {
     fn sparse_dynamic_conservative_under_interleavings(
         seed in any::<u64>(),
         n in 10usize..20,
-        interval_choice in 0..REFRESH_INTERVALS.len(),
         ops in prop::collection::vec((0u8..3, any::<u8>()), 8..48),
     ) {
         let instance = scaling_uniform(n, seed);
         let params = SinrParams::new(3.0, 1.0).unwrap();
-        let interval = REFRESH_INTERVALS[interval_choice];
         for power in ObliviousPower::standard_assignments() {
             let eval = instance.evaluator(params, &power);
             for variant in Variant::all() {
@@ -48,8 +38,7 @@ proptest! {
                     cutoff_fraction: 0.05,
                     ..SparseConfig::default()
                 };
-                let matrix =
-                    SparseChurnMatrix::new(&view, &config).with_refresh_interval(interval);
+                let matrix = SparseChurnMatrix::new(&view, &config);
                 let mut sched = DynamicScheduler::new(&matrix);
                 let mut ids: Vec<Option<RequestId>> = vec![None; n];
                 let mut live: Vec<usize> = Vec::new();
@@ -87,7 +76,7 @@ proptest! {
                             prop_assert!(
                                 estimate <= truth * (1.0 + 1e-9),
                                 "sparse estimate {estimate} exceeds naive {truth} \
-                                 (item {item}, {variant:?}, interval={interval})"
+                                 (item {item}, {variant:?})"
                             );
                         }
                     }
@@ -98,7 +87,7 @@ proptest! {
                     prop_assert!(
                         certified.is_ok(),
                         "non-conservative accept at an intermediate state: {certified:?} \
-                         ({variant:?}, interval={interval})"
+                         ({variant:?})"
                     );
                 }
                 // Structural consistency and drift of the final state.
