@@ -122,6 +122,14 @@ echo "==> end-to-end benchmark as a correctness check (session_small, 1 s)"
 CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py --workload session_small --seed 1 \
   --seconds 1 --trace 0 | tail -1 | grep -q '"correct": true'
 
+echo "==> end-to-end benchmark as a correctness check (batch_solve, 1 s)"
+# Solves the dense n=2000 and the sparse and parallel n=10^4 instances
+# through the real daemon and checks each solve's colors against an
+# in-process Scheduler::solve, so every solve's build, first-fit and
+# exact validation run at full size (~20 s). Verdict only, no timing.
+CARGO_TARGET_DIR="$PWD/target" python3 perfbench/run.py --workload batch_solve --seed 1 \
+  --seconds 1 --trace 0 | tail -1 | grep -q '"correct": true'
+
 echo "==> sparse-tier tail recovery at the served profile (session_large, 1 s, traced)"
 # session_large runs its sessions on the sparse tier the daemon serves past
 # the dense budget. Its traced run also recovers a copy of one durable

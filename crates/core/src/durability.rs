@@ -21,11 +21,13 @@
 //! [`DiskStore`] (an append-only JSONL `wal.jsonl` plus a `snapshot.json`
 //! written atomically via a temp file + rename). A WAL line is durable only
 //! once its trailing newline is on disk: recovery drops an unterminated
-//! final line (a torn write mid-crash) and rejects any terminated line that
-//! does not parse. The crash-point harness in `tests/durable_recovery.rs`
-//! truncates a real session's WAL at every byte offset, on the exact and on
-//! the sparse tier, and asserts recovery reproduces the pre-crash coloring
-//! bit-for-bit, certified against the naive evaluator.
+//! final line (a torn write mid-crash), opening the store cuts it off so
+//! the next append starts a line of its own, and recovery rejects any
+//! terminated line that does not parse. The crash-point harness in
+//! `tests/durable_recovery.rs` truncates a real session's WAL at every byte
+//! offset, on the exact and on the sparse tier, and asserts recovery
+//! reproduces the pre-crash coloring bit-for-bit, certified against the
+//! naive evaluator.
 //!
 //! # Example
 //!
@@ -66,7 +68,7 @@ use oblisched_sinr::GainBackend;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Default checkpoint cadence of a [`DurableScheduler`]: one snapshot per
@@ -313,7 +315,8 @@ impl SessionStore for MemoryStore {
 ///
 /// * **Append** writes the record and its trailing newline in one write and
 ///   flushes; a line is durable exactly when its newline is on disk, so a
-///   torn final line is dropped on recovery.
+///   torn final line is dropped on recovery, and [`open`](DiskStore::open)
+///   cuts it off before anything is appended after it.
 /// * **Snapshot** first syncs the log (the snapshot must never reference
 ///   records that were lost), then writes a temp file and renames it over
 ///   `snapshot.json` — readers see either the old or the new snapshot.
@@ -329,18 +332,28 @@ impl DiskStore {
     /// Name of the snapshot file inside the session directory.
     pub const SNAPSHOT_FILE: &'static str = "snapshot.json";
 
-    /// Opens (creating if needed) the session directory and its log.
+    /// Opens (creating if needed) the session directory and its log, and
+    /// cuts an unterminated final segment — a torn append — off the log.
+    /// Recovery drops that segment; left in place, the next append would
+    /// complete it into a terminated line that does not parse.
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::Io`] when the directory or log cannot be opened.
+    /// [`DurabilityError::Io`] when the directory or log cannot be opened,
+    /// read or truncated.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, DurabilityError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let wal = fs::OpenOptions::new()
+        let mut wal = fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(dir.join(Self::WAL_FILE))?;
+        let len = wal.metadata()?.len();
+        let terminated = terminated_len(&mut wal, len)?;
+        if terminated < len {
+            wal.set_len(terminated)?;
+        }
         Ok(Self { dir, wal })
     }
 
@@ -352,6 +365,25 @@ impl DiskStore {
     fn snapshot_path(&self) -> PathBuf {
         self.dir.join(Self::SNAPSHOT_FILE)
     }
+}
+
+/// The length of the newline-terminated prefix of the first `len` bytes of
+/// `file`: just past its last newline, or 0 without one. Reads backwards
+/// from `len` in blocks.
+fn terminated_len(file: &mut fs::File, len: u64) -> std::io::Result<u64> {
+    let mut block = [0u8; 4096];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(block.len() as u64);
+        let chunk = &mut block[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(k) = chunk.iter().rposition(|&byte| byte == b'\n') {
+            return Ok(start + k as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
 }
 
 impl SessionStore for DiskStore {
@@ -822,6 +854,50 @@ mod tests {
             DurableScheduler::create(&view, config, 4, store),
             Err(DurabilityError::SessionExists)
         ));
+    }
+
+    #[test]
+    fn a_snapshot_with_an_invalid_config_is_refused_with_a_typed_error() {
+        let inst = nested_chain(6, 2.0);
+        let eval = inst.evaluator(params(), &ObliviousPower::SquareRoot);
+        let view = eval.view(Variant::Bidirectional);
+        let config = DynamicConfig::default();
+        let mut session = DurableScheduler::create(&view, config, 2, MemoryStore::new()).unwrap();
+        for i in 0..3 {
+            session.insert(i).unwrap();
+        }
+        let expected = session.scheduler().export_state();
+        let store = session.into_store();
+        let snapshot = store.snapshot().unwrap().clone();
+        let invalid = [
+            DynamicConfig {
+                rebuild_interval: 0,
+                ..config
+            },
+            DynamicConfig {
+                drift_tolerance: 0.0,
+                ..config
+            },
+        ];
+        for bad in invalid {
+            let mut tampered = store.clone();
+            tampered
+                .write_snapshot(&SessionSnapshot {
+                    config: bad,
+                    ..snapshot.clone()
+                })
+                .unwrap();
+            match DurableScheduler::recover(&view, tampered) {
+                Err(DurabilityError::Dynamic(DynamicError::InvalidState { detail })) => {
+                    assert!(detail.contains("config"), "unexpected detail: {detail}");
+                }
+                Err(e) => panic!("expected InvalidState for {bad:?}, got {e}"),
+                Ok(_) => panic!("expected InvalidState for {bad:?}, got a recovered session"),
+            }
+        }
+        // The untampered store recovers.
+        let recovered = DurableScheduler::recover(&view, store).unwrap();
+        assert_eq!(recovered.scheduler().export_state(), expected);
     }
 
     #[test]

@@ -196,7 +196,8 @@ pub enum DynamicError {
     },
     /// A persisted [`SchedulerState`] cannot be restored: it references
     /// items or ids inconsistently (duplicate member, item out of range,
-    /// id at or above the recorded `next_id`).
+    /// id at or above the recorded `next_id`), or comes with a
+    /// [`DynamicConfig`] that fails [`DynamicConfig::validate`].
     InvalidState {
         /// Human-readable description of the violated invariant.
         detail: String,
@@ -596,19 +597,20 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
     ///
     /// # Errors
     ///
-    /// [`DynamicError::InvalidState`] when the state references an item out
-    /// of range, repeats an item or id, or carries an id at or above its own
-    /// `next_id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid `config`, like
-    /// [`with_config`](DynamicScheduler::with_config).
+    /// [`DynamicError::InvalidState`] when `config` fails
+    /// [`DynamicConfig::validate`] (a persisted snapshot carries its config
+    /// as data), or when the state references an item out of range, repeats
+    /// an item or id, or carries an id at or above its own `next_id`.
     pub fn from_state(
         system: &'s S,
         config: DynamicConfig,
         state: &SchedulerState,
     ) -> Result<Self, DynamicError> {
+        config
+            .validate()
+            .map_err(|reason| DynamicError::InvalidState {
+                detail: format!("invalid config: {reason}"),
+            })?;
         let mut sched = Self::with_config(system, config);
         for (color, members) in state.classes.iter().enumerate() {
             let mut class =
@@ -724,7 +726,10 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
     /// per million — is still caught. Single-member classes are exempt (with
     /// ambient noise a request can be infeasible even alone, and a color of
     /// its own is the best any schedule can do — the same convention as the
-    /// static `Scheduler` facade).
+    /// static `Scheduler` facade). A class's SINRs come from one
+    /// [`member_sinrs`](InterferenceSystem::member_sinrs) call, one pass
+    /// over its unordered pairs for a bidirectional view; an infeasible class
+    /// names its first member whose SINR is below the relaxed gain or NaN.
     ///
     /// # Errors
     ///
@@ -772,22 +777,17 @@ impl<'s, S: GainBackend + ?Sized> DynamicScheduler<'s, S> {
                 }
                 seen += 1;
             }
-            if certify
-                && class.len() >= 2
-                && !truth.is_feasible_with_gain(class.members(), certification_gain)
-            {
+            if certify && class.len() >= 2 {
                 let threshold = certification_gain * (1.0 - REL_TOL);
-                let item = class
-                    .members()
+                // NaN SINR counts as violating, like `is_feasible_with_gain`.
+                if let Some(k) = truth
+                    .member_sinrs(class.members())
                     .iter()
-                    .copied()
-                    .find(|&i| {
-                        // NaN SINR counts as violating, like the naive check.
-                        let sinr = truth.sinr(i, class.members());
-                        sinr.is_nan() || sinr < threshold
-                    })
-                    .unwrap_or(class.members()[0]);
-                return Err(DynamicError::InfeasibleClass { color, item });
+                    .position(|&sinr| sinr.is_nan() || sinr < threshold)
+                {
+                    let item = class.members()[k];
+                    return Err(DynamicError::InfeasibleClass { color, item });
+                }
             }
         }
         if seen != self.entries.len() {

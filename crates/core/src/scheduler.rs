@@ -190,6 +190,10 @@ impl<M: MetricSpace> InterferenceSystem for SessionBackend<'_, '_, '_, M> {
         self.tier().sinr(i, others)
     }
 
+    fn member_sinrs(&self, set: &[usize]) -> Vec<f64> {
+        self.tier().member_sinrs(set)
+    }
+
     fn beta(&self) -> f64 {
         self.tier().beta()
     }

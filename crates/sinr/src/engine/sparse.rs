@@ -96,7 +96,7 @@ use super::{item_id, GainBackend, RowRef};
 use crate::error::SinrError;
 use crate::feasibility::{InterferenceSystem, VariantView};
 use oblisched_metric::{MetricSpace, PlanarMetric};
-use prune::{Aggregates, BuiltRow, Pads, Scratch, SparseCore};
+use prune::{Aggregates, Pads, Scratch, SparseCore};
 
 pub mod churn;
 mod prune;
@@ -180,10 +180,13 @@ pub struct SparseGainMatrix {
 impl SparseGainMatrix {
     /// Builds the pruned contribution cache of `view` over a planar metric.
     ///
-    /// Runs in `O(n · (supertiles + boundary tiles) + stored entries)` time;
-    /// with [`build_threads`](SparseConfig::build_threads) > 1 the rows are
-    /// computed in parallel (the result is identical for every thread
-    /// count).
+    /// Runs in `O(n · (supertiles + boundary tiles) + stored entries)` time.
+    /// Workers — the calling thread plus up to
+    /// [`build_threads`](SparseConfig::build_threads) − 1 more — claim
+    /// chunks of consecutive rows and pack each row into their chunk's
+    /// arrays as it is built; the chunks are then concatenated in index
+    /// order into exactly sized CSR arrays, so no row is held on its own
+    /// and the result is identical for every thread count.
     ///
     /// # Panics
     ///
@@ -196,62 +199,57 @@ impl SparseGainMatrix {
         let core = SparseCore::new(view, config);
         let agg = Aggregates::new(&core, |_| true);
         let n = core.n;
-        let build_row =
-            |i: usize, scratch: &mut Scratch| core.build_row(&agg, |_| true, i, scratch);
         let threads = match config.build_threads {
             0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
             t => t,
         };
-        let rows: Vec<BuiltRow> = if threads <= 1 || n < 2 * threads {
+        // Workers claim fixed-size chunks off a shared counter, which
+        // balances the load when dense regions make some rows much costlier
+        // than others.
+        let chunk = n.div_ceil(threads * 8).max(16);
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let work = || {
             let mut scratch = Scratch::new(n);
-            (0..n).map(|i| build_row(i, &mut scratch)).collect()
-        } else {
-            // Work-stealing chunked build: workers claim fixed-size chunks
-            // off a shared counter (balancing the load when dense regions
-            // make some rows much costlier than others), return
-            // `(start, rows)` parts, and the parts are reassembled in index
-            // order — the output is identical for every thread count.
-            let chunk = n.div_ceil(threads * 8).max(16);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let build_ref = &build_row;
-            let next_ref = &next;
-            let mut parts: Vec<(usize, Vec<BuiltRow>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut scratch = Scratch::new(n);
-                            let mut mine: Vec<(usize, Vec<BuiltRow>)> = Vec::new();
-                            loop {
-                                let start =
-                                    next_ref.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                                if start >= n {
-                                    break;
-                                }
-                                let end = (start + chunk).min(n);
-                                let rows =
-                                    (start..end).map(|i| build_ref(i, &mut scratch)).collect();
-                                mine.push((start, rows));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                let mut parts = Vec::new();
-                for h in handles {
-                    match h.join() {
-                        Ok(mine) => parts.extend(mine),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
+            let mut parts = Vec::new();
+            loop {
+                let start = next.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
+                if start >= n {
+                    break;
                 }
-                parts
-            });
-            parts.sort_unstable_by_key(|&(start, _)| start);
-            parts.into_iter().flat_map(|(_, rows)| rows).collect()
+                let mut part = Part {
+                    start,
+                    ..Part::default()
+                };
+                for i in start..(start + chunk).min(n) {
+                    part.pads
+                        .push(core.build_row(&agg, |_| true, i, &mut scratch));
+                    part.lens.push(scratch.row.len());
+                    part.cols.extend(scratch.row.iter().map(|e| e.j));
+                    part.vals.extend(scratch.row.iter().map(|e| e.v));
+                }
+                parts.push(part);
+            }
+            parts
         };
+        let mut parts: Vec<Part> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads.min(n.div_ceil(chunk)))
+                .map(|_| scope.spawn(work))
+                .collect();
+            let mut parts = work();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(theirs) => parts.extend(theirs),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            parts
+        });
+        parts.sort_unstable_by_key(|part| part.start);
 
         // Sized exactly: the CSR arrays are the bulk of the footprint, and
-        // growing them by doubling would transiently hold far more.
-        let stored = rows.iter().map(|row| row.entries.len()).sum();
+        // growing them by doubling would transiently hold far more. Each
+        // part is freed as soon as it is copied.
+        let stored = parts.iter().map(|part| part.cols.len()).sum();
         let mut matrix = Self {
             core,
             offsets: Vec::with_capacity(n + 1),
@@ -260,11 +258,15 @@ impl SparseGainMatrix {
             pads: Vec::with_capacity(n),
         };
         matrix.offsets.push(0);
-        for row in rows {
-            matrix.cols.extend(row.entries.iter().map(|e| e.j));
-            matrix.vals.extend(row.entries.iter().map(|e| e.v));
-            matrix.offsets.push(matrix.cols.len());
-            matrix.pads.push(row.pads);
+        let mut end = 0;
+        for part in parts {
+            for len in part.lens {
+                end += len;
+                matrix.offsets.push(end);
+            }
+            matrix.cols.extend_from_slice(&part.cols);
+            matrix.vals.extend_from_slice(&part.vals);
+            matrix.pads.extend_from_slice(&part.pads);
         }
         matrix
     }
@@ -297,6 +299,18 @@ impl SparseGainMatrix {
             + self.offsets.len() * std::mem::size_of::<usize>()
             + self.pads.len() * std::mem::size_of::<Pads>()
     }
+}
+
+/// A chunk of consecutive rows from `start`, packed by one build worker as
+/// they are built: each row's stored length, their columns and values back
+/// to back, and their pads.
+#[derive(Default)]
+struct Part {
+    start: usize,
+    lens: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    pads: Vec<Pads>,
 }
 
 impl InterferenceSystem for SparseGainMatrix {

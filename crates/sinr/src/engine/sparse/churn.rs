@@ -70,7 +70,7 @@
 
 use std::cell::RefCell;
 
-use super::prune::{Aggregates, BuiltRow, Pads, Scratch, SparseCore};
+use super::prune::{Aggregates, Pads, Scratch, SparseCore};
 use super::SparseConfig;
 use crate::engine::{item_id, item_index, GainBackend, MAX_PORTS};
 use crate::feasibility::{InterferenceSystem, VariantView};
@@ -94,15 +94,6 @@ struct ChurnRow {
 }
 
 impl ChurnRow {
-    /// Splits a freshly built row into the parallel column/value vectors.
-    fn from_built(row: BuiltRow) -> Self {
-        Self {
-            cols: row.entries.iter().map(|e| e.j).collect(),
-            vals: row.entries.iter().map(|e| e.v).collect(),
-            pads: row.pads,
-        }
-    }
-
     /// The stored value of interferer `j`, or `None` when the live pair is
     /// pruned (binary search over the sorted columns).
     #[inline]
@@ -239,13 +230,18 @@ impl SparseChurnMatrix {
             + rows
     }
 
-    /// Builds row `i` from scratch against the **live** aggregates.
+    /// Builds row `i` from scratch against the **live** aggregates, through
+    /// the reused scratch buffer into exactly sized column/value vectors.
     fn fresh_row(&self, st: &LiveState, i: usize) -> ChurnRow {
         let mut scratch = self.scratch.borrow_mut();
-        let built = self
+        let pads = self
             .core
             .build_row(&st.agg, |j| st.live[j], i, &mut scratch);
-        ChurnRow::from_built(built)
+        ChurnRow {
+            cols: scratch.row.iter().map(|e| e.j).collect(),
+            vals: scratch.row.iter().map(|e| e.v).collect(),
+            pads,
+        }
     }
 
     /// Materialises row `i` if it does not exist yet.

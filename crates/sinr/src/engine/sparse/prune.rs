@@ -442,24 +442,22 @@ impl Pads {
 
 /// One stored (non-pruned) contribution of a freshly built row: the
 /// interferer index and its SAFETY-inflated contribution.
+#[derive(Debug, Clone, Copy)]
 pub(super) struct SparseEntry {
     pub(super) j: u32,
     pub(super) v: f64,
 }
 
-/// One freshly built row: the stored entries, sorted by interferer, and the
-/// row's pads.
-pub(super) struct BuiltRow {
-    pub(super) entries: Vec<SparseEntry>,
-    pub(super) pads: Pads,
-}
-
-/// Epoch-stamped scratch deduplicating the two grid endpoints of a request
-/// during one row build.
+/// A row builder's reused buffers: the epoch stamps deduplicating the two
+/// grid endpoints of a request during one row build, and the stored entries
+/// of the row built last.
 #[derive(Debug, Clone)]
 pub(super) struct Scratch {
     seen: Vec<u32>,
     epoch: u32,
+    /// The stored entries of the row [`SparseCore::build_row`] built last,
+    /// sorted by interferer.
+    pub(super) row: Vec<SparseEntry>,
 }
 
 impl Scratch {
@@ -467,6 +465,7 @@ impl Scratch {
         Self {
             seen: vec![0; n],
             epoch: 0,
+            row: Vec::new(),
         }
     }
 
@@ -483,6 +482,7 @@ impl Scratch {
     /// Heap footprint in bytes.
     pub(super) fn bytes(&self) -> usize {
         self.seen.len() * std::mem::size_of::<u32>()
+            + self.row.capacity() * std::mem::size_of::<SparseEntry>()
     }
 }
 
@@ -617,18 +617,20 @@ impl SparseCore {
     /// A pruned (super)tile bounds every member it aggregates, so no
     /// stored-worthy live pair can hide in one: storedness is the pure pair
     /// predicate `inflated ≥ cutoff`.
+    ///
+    /// The stored entries replace `scratch.row`, sorted by interferer, so a
+    /// caller building many rows reuses one buffer; the row's pads are
+    /// returned.
     pub(super) fn build_row(
         &self,
         agg: &Aggregates,
         live: impl Fn(usize) -> bool,
         i: usize,
         scratch: &mut Scratch,
-    ) -> BuiltRow {
+    ) -> Pads {
         let epoch = scratch.next_epoch();
-        let mut row = BuiltRow {
-            entries: Vec::new(),
-            pads: Pads::default(),
-        };
+        scratch.row.clear();
+        let mut pads = Pads::default();
         let cutoff = self.cutoff(i);
         // Pruning bounds a (super)tile through the anchor closest to it,
         // which bounds every port of the row at once.
@@ -653,12 +655,12 @@ impl SparseCore {
             true
         };
         for (s, sup) in agg.supers.iter().enumerate() {
-            if sup.power_sum == 0.0 || prune(&mut row.pads, sup) {
+            if sup.power_sum == 0.0 || prune(&mut pads, sup) {
                 continue;
             }
             for t in self.grid.tiles_of(s) {
                 let tile = &agg.tiles[t];
-                if tile.power_sum == 0.0 || prune(&mut row.pads, tile) {
+                if tile.power_sum == 0.0 || prune(&mut pads, tile) {
                     continue;
                 }
                 for e in self.grid.tile_entries(t) {
@@ -669,15 +671,15 @@ impl SparseCore {
                     scratch.seen[j] = epoch;
                     let v = self.inflated(i, j);
                     if v >= cutoff {
-                        row.entries.push(SparseEntry { j: e.item, v });
+                        scratch.row.push(SparseEntry { j: e.item, v });
                     } else {
-                        row.pads.pad_absorb(v);
+                        pads.pad_absorb(v);
                     }
                 }
             }
         }
-        row.entries.sort_unstable_by_key(|e| e.j);
-        row
+        scratch.row.sort_unstable_by_key(|e| e.j);
+        pads
     }
 
     /// The conservative SINR of `i` against `others` on one row: the stored

@@ -65,6 +65,18 @@ pub trait InterferenceSystem {
     /// transmit simultaneously.
     fn sinr(&self, i: usize, others: &[usize]) -> f64;
 
+    /// The SINR of every member of `set` against `set`, in `set`'s order:
+    /// entry `k` is `sinr(set[k], set)`, bit for bit.
+    ///
+    /// The default is that per-member loop. An override must return the
+    /// same bits for every set, including sets that repeat an item (every
+    /// copy of `i` is one of the "`i` itself" the SINR leaves out), the
+    /// empty set and singletons; it may only share work between members.
+    /// [`VariantView`] overrides it for the bidirectional variant.
+    fn member_sinrs(&self, set: &[usize]) -> Vec<f64> {
+        set.iter().map(|&i| self.sinr(i, set)).collect()
+    }
+
     /// The gain (SINR threshold) of the underlying model.
     fn beta(&self) -> f64;
 
@@ -285,12 +297,80 @@ impl<'a, M: MetricSpace> Evaluator<'a, M> {
     ///
     /// Returns `f64::INFINITY` when there is neither interference nor noise.
     pub fn sinr(&self, variant: Variant, i: usize, others: &[usize]) -> f64 {
-        let interference = self.interference(variant, i, others) + self.params.noise();
+        self.sinr_from(i, self.interference(variant, i, others))
+    }
+
+    /// The SINR of request `i` under `interference` plus the noise.
+    fn sinr_from(&self, i: usize, interference: f64) -> f64 {
+        let interference = interference + self.params.noise();
         if interference == 0.0 {
             f64::INFINITY
         } else {
             self.signal(i) / interference
         }
+    }
+
+    /// The bidirectional [`sinr`](Evaluator::sinr) of every member of `set`
+    /// against `set`, bit for bit, from one pass over its unordered pairs.
+    ///
+    /// Each pair of positions holding different requests computes the
+    /// losses between its four endpoint pairs once and adds both directed
+    /// contributions to per-member running sums, one per endpoint. The
+    /// operands of every `min`, division and sum are those of
+    /// [`interference`](Evaluator::interference), and each member's sums
+    /// visit the other positions in `set`'s order from `Iterator::sum`'s
+    /// start value, so only the `powf` calls are shared. A loss is shared
+    /// only when both orientations of the metric's `distance` return the
+    /// same bits; a metric inside its symmetry tolerance pays both.
+    fn bidirectional_sinrs(&self, set: &[usize]) -> Vec<f64> {
+        let metric = self.instance.metric();
+        let ends: Vec<[NodeId; 2]> = set
+            .iter()
+            .map(|&i| {
+                let r = self.instance.request(i);
+                [r.sender, r.receiver]
+            })
+            .collect();
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        // `heard[a][x]`: the interference at endpoint `x` (sender, receiver)
+        // of the request at position `a`.
+        let mut heard = vec![[zero; 2]; set.len()];
+        for a in 0..set.len() {
+            for b in a + 1..set.len() {
+                let (i, j) = (set[a], set[b]);
+                if i == j {
+                    continue;
+                }
+                // `at_i[x][y]`: the loss from endpoint `y` of `j` to endpoint
+                // `x` of `i`; `at_j[y][x]` the other way round.
+                let mut at_i = [[0.0; 2]; 2];
+                let mut at_j = [[0.0; 2]; 2];
+                for x in 0..2 {
+                    for y in 0..2 {
+                        let to_i = metric.distance(ends[b][y], ends[a][x]);
+                        let to_j = metric.distance(ends[a][x], ends[b][y]);
+                        at_i[x][y] = self.params.loss(to_i);
+                        at_j[y][x] = if to_j.to_bits() == to_i.to_bits() {
+                            at_i[x][y]
+                        } else {
+                            self.params.loss(to_j)
+                        };
+                    }
+                }
+                for x in 0..2 {
+                    heard[a][x] += self
+                        .params
+                        .received_strength(self.powers[j], at_i[x][0].min(at_i[x][1]));
+                    heard[b][x] += self
+                        .params
+                        .received_strength(self.powers[i], at_j[x][0].min(at_j[x][1]));
+                }
+            }
+        }
+        set.iter()
+            .zip(&heard)
+            .map(|(&i, &[sender, receiver])| self.sinr_from(i, sender.max(receiver)))
+            .collect()
     }
 
     /// Checks whether `set` can be scheduled simultaneously at gain `gain`.
@@ -349,6 +429,17 @@ impl<'e, 'a, M: MetricSpace> InterferenceSystem for VariantView<'e, 'a, M> {
 
     fn sinr(&self, i: usize, others: &[usize]) -> f64 {
         self.evaluator.sinr(self.variant, i, others)
+    }
+
+    /// One pass over the unordered pairs of `set` in the bidirectional
+    /// variant, where a pair's two directed contributions share the losses
+    /// of its four endpoint pairs; the per-member loop in the directed one,
+    /// where they share none.
+    fn member_sinrs(&self, set: &[usize]) -> Vec<f64> {
+        match self.variant {
+            Variant::Directed => set.iter().map(|&i| self.sinr(i, set)).collect(),
+            Variant::Bidirectional => self.evaluator.bidirectional_sinrs(set),
+        }
     }
 
     fn beta(&self) -> f64 {

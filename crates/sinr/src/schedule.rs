@@ -106,12 +106,19 @@ impl Schedule {
     /// Validates the schedule against an interference system: every color
     /// class must be simultaneously feasible at the system's gain.
     ///
+    /// Each class's SINRs come from one
+    /// [`member_sinrs`](InterferenceSystem::member_sinrs) call, so a
+    /// bidirectional [`VariantView`](crate::feasibility::VariantView) checks a
+    /// class in one pass over its unordered pairs; the verdict and the
+    /// reported request are those of the per-member
+    /// [`sinr`](InterferenceSystem::sinr) loop.
+    ///
     /// # Errors
     ///
     /// * [`SinrError::ColoringLengthMismatch`] if the schedule does not cover
     ///   exactly the system's items.
     /// * [`SinrError::InfeasibleColorClass`] naming the first violating class
-    ///   and request.
+    ///   and, within it, the first violating request in index order.
     pub fn validate_against<S: InterferenceSystem>(&self, system: &S) -> Result<(), SinrError> {
         if self.colors.len() != system.len() {
             return Err(SinrError::ColoringLengthMismatch {
@@ -119,11 +126,14 @@ impl Schedule {
                 actual: self.colors.len(),
             });
         }
+        let threshold = system.beta() * (1.0 - crate::feasibility::REL_TOL);
         for (color, class) in self.classes().iter().enumerate() {
-            for &i in class {
-                if system.sinr(i, class) < system.beta() * (1.0 - crate::feasibility::REL_TOL) {
-                    return Err(SinrError::InfeasibleColorClass { color, request: i });
-                }
+            let sinrs = system.member_sinrs(class);
+            if let Some(k) = sinrs.iter().position(|&sinr| sinr < threshold) {
+                return Err(SinrError::InfeasibleColorClass {
+                    color,
+                    request: class[k],
+                });
             }
         }
         Ok(())

@@ -3,10 +3,12 @@
 //! truncated at **every byte offset** — every record boundary plus every
 //! torn final line — paired with every snapshot that could have been on
 //! disk at that point, and recovery must reproduce the pre-crash coloring
-//! bit-for-bit, certified through the naive-evaluator `validate()` path.
-//! The same holds on the churn-capable sparse tier at its default
-//! configuration, whose verdicts depend on the backend's history: recovery
-//! applies the logged placements instead of re-deriving them.
+//! bit-for-bit, certified through the naive-evaluator `validate()` path,
+//! then log one more event and recover again to what it held (a torn line
+//! must not survive into the next append). The same holds on the
+//! churn-capable sparse tier at its default configuration, whose verdicts
+//! depend on the backend's history: recovery applies the logged placements
+//! instead of re-deriving them.
 //!
 //! Like `dynamic_churn.rs`, the workload is build-profile dependent: the
 //! debug run keeps the tier-1 suite fast, the release run (wired into
@@ -163,7 +165,7 @@ fn every_wal_truncation_recovers_the_pre_crash_state() {
             fs::write(&crash_wal, &wal[..b]).unwrap();
             fs::write(&crash_snapshot, &snap_after[s]).unwrap();
             let store = DiskStore::open(&crash_dir).unwrap();
-            let recovered = DurableScheduler::recover(&view, store)
+            let mut recovered = DurableScheduler::recover(&view, store)
                 .unwrap_or_else(|e| panic!("recovery failed at byte {b}/snapshot {s}: {e}"));
             assert_eq!(
                 recovered.scheduler().export_state(),
@@ -179,6 +181,24 @@ fn every_wal_truncation_recovers_the_pre_crash_state() {
                 recovered.scheduler().validate().unwrap_or_else(|e| {
                     panic!("certification failed at byte {b}/snapshot {s}: {e}")
                 });
+            }
+            // The recovered session logs on: one more event, then a second
+            // crash and recovery, which must return what the session held.
+            // A torn line left in the log would turn that append into a
+            // terminated line that does not parse.
+            if let Some(&next) = trace.events.get(ev) {
+                apply(&mut recovered, next);
+                let logged = recovered.scheduler().export_state();
+                drop(recovered);
+                let again = DurableScheduler::recover(&view, DiskStore::open(&crash_dir).unwrap())
+                    .unwrap_or_else(|e| {
+                        panic!("recovery after logging on failed at byte {b}/snapshot {s}: {e}")
+                    });
+                assert_eq!(
+                    again.scheduler().export_state(),
+                    logged,
+                    "second recovery diverges at byte {b}/snapshot {s}"
+                );
             }
         }
     }
@@ -484,6 +504,46 @@ fn disk_recovery_error_paths_are_typed() {
     let store = DiskStore::open(&session_dir).unwrap();
     let recovered = DurableScheduler::recover(&view, store).unwrap();
     assert!(recovered.scheduler().is_empty());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_tail_longer_than_a_read_block_is_cut_on_open() {
+    // `DiskStore::open` scans back from the end of the log for its last
+    // newline in fixed-size blocks; a torn segment longer than a block
+    // makes it read more than one.
+    let (instance, trace) = churn_uniform(30, 18, 40, 3);
+    let params = SinrParams::new(3.0, 1.0).unwrap();
+    let eval = instance.evaluator(params, &ObliviousPower::SquareRoot);
+    let view = eval.view(Variant::Bidirectional);
+    let config = DynamicConfig::default();
+    let dir = scratch_dir("long-torn");
+    let wal_path = dir.join(DiskStore::WAL_FILE);
+    let torn = vec![b'x'; 10_000];
+
+    // A log of whole lines plus the long torn segment is cut back to the
+    // lines, and the session logs on and recovers again.
+    let store = DiskStore::open(&dir).unwrap();
+    let mut session = DurableScheduler::create(&view, config, 1000, store).unwrap();
+    for &event in &trace.events[..5] {
+        apply(&mut session, event);
+    }
+    drop(session);
+    let intact = fs::read(&wal_path).unwrap();
+    fs::write(&wal_path, [intact.as_slice(), &torn].concat()).unwrap();
+    let store = DiskStore::open(&dir).unwrap();
+    assert_eq!(fs::read(&wal_path).unwrap(), intact);
+    let mut session = DurableScheduler::recover(&view, store).unwrap();
+    apply(&mut session, trace.events[5]);
+    let expected = session.scheduler().export_state();
+    drop(session);
+    let recovered = DurableScheduler::recover(&view, DiskStore::open(&dir).unwrap()).unwrap();
+    assert_eq!(recovered.scheduler().export_state(), expected);
+
+    // A log holding nothing but a torn segment is cut to nothing.
+    fs::write(&wal_path, &torn).unwrap();
+    DiskStore::open(&dir).unwrap();
+    assert_eq!(fs::metadata(&wal_path).unwrap().len(), 0);
     let _ = fs::remove_dir_all(&dir);
 }
 
