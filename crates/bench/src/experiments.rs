@@ -795,19 +795,21 @@ pub fn e10_dynamic_churn() -> Table {
 /// classes the exact checker rejects, and the experiment *asserts* it is
 /// zero — the sparse tier's conservativeness guarantee, measured rather
 /// than assumed. The two parallel runs are asserted identical (thread-count
-/// determinism), and each must beat the dense ceiling (best of two runs)
-/// and be at least 2× faster than serial first-fit on the same sparse
-/// backend. Engine decisions (backend, bytes, budget) are recorded in
+/// determinism), each must beat the dense ceiling (best of two runs), and
+/// each may use at most 1.5× the colors of serial first-fit on the same
+/// sparse backend. The serial rows are timed and printed but not held to
+/// a floor: with the witness asked on every first-fit path, serial
+/// first-fit on the same backend runs about as fast as parallel-sparse on
+/// one thread. Engine decisions (backend, bytes, budget) are recorded in
 /// the table's structured `engines` list, one per row.
 ///
-/// Those margins hold for the `tiers` profile (shard gain slack 3.0, sparse
-/// cutoff 2e-3), which nothing served runs: the facade's `Parallel`
+/// The dense floor holds for the `tiers` profile (shard gain slack 3.0,
+/// sparse cutoff 2e-3), which nothing served runs: the facade's `Parallel`
 /// strategy, the daemon and `perfbench` run slack 2.0 and cutoff 1e-3. A
 /// copy of this experiment at the served profile measured parallel-1t
-/// 2.26–3.12× faster than the same-backend serial row but only 6–8% under
-/// dense `n = 2000`, and unmodified, it failed that dense floor 3 times out
-/// of 3 on a 2-vCPU host. Which profile the floors should time is an open
-/// decision in the ROADMAP's item 3.
+/// only 6–8% under dense `n = 2000`, and unmodified, it failed that dense
+/// floor 3 times out of 3 on a 2-vCPU host. Whether the tier stays at all
+/// is an open decision in the ROADMAP's item 3.
 pub fn e11_backend_tiers() -> Table {
     use oblisched::scheduler::{EngineBackend, EngineStats, DEFAULT_MATRIX_BUDGET};
     use oblisched::{parallel_first_fit, tile_shards};
@@ -944,19 +946,22 @@ pub fn e11_backend_tiers() -> Table {
         "sparse n=10000 (2e-3 cutoff)",
         sparse_stats(serial_same_bytes, same_backend.num_ports()),
     );
+    let serial_same_colors = serial_same_schedule.num_colors();
     for (threads, schedule, ms, bytes) in &par_runs {
         let bad = non_conservative(schedule);
         assert_eq!(bad, 0, "parallel-sparse verdicts must be conservative");
-        // The tier floors: at 5x the size, parallel-sparse beats the dense
-        // ceiling and halves the same-backend serial time at 1 and 8 threads.
+        // The tier's floor and its price: at 5x the size, parallel-sparse
+        // beats the dense ceiling at 1 and 8 threads, and its colors stay
+        // within 1.5x of serial first-fit on the same backend.
         assert!(
             *ms < dense_ms,
             "parallel-sparse at {threads}t ({ms:.0} ms) must beat dense n=2000 ({dense_ms:.0} ms)"
         );
+        let colors = schedule.num_colors();
         assert!(
-            serial_same_ms >= 2.0 * ms,
-            "parallel-sparse at {threads}t ({ms:.0} ms) must be >= 2x faster than serial \
-             sparse on the same backend ({serial_same_ms:.0} ms)"
+            2 * colors <= 3 * serial_same_colors,
+            "parallel-sparse at {threads}t uses {colors} colors, more than 1.5x the \
+             {serial_same_colors} of serial sparse on the same backend"
         );
         table.push_row(vec![
             format!("parallel-sparse ({threads}t)"),
@@ -989,7 +994,7 @@ pub fn e11_backend_tiers() -> Table {
     table.push_note("seed-pinned uniform scaling family (seed 42); wall time is backend build + scheduling (validation excluded, reported in the last column); dense is the best of two runs");
     table.push_note("non-conservative = multi-member classes the naive evaluator rejects (asserted zero: sparse verdicts are conservative)");
     table.push_note("parallel rows: tile-sharded scheduling (64 shards, shard gain slack 3.0, sparse cutoff 2e-3, folded ports); 1t vs 8t schedules asserted identical; this is the tiers profile, not the served one (the facade, the daemon and perfbench run slack 2.0, cutoff 1e-3)");
-    table.push_note("asserted: parallel-sparse (1t and 8t) is faster than dense n=2000 and >= 2x faster than the same-backend serial row (sparse 2e-3); on a single-core host the gain is the sharded probe-work reduction, extra threads pay off on multi-core hardware");
+    table.push_note("asserted: parallel-sparse (1t and 8t) is faster than dense n=2000 and uses at most 1.5x the colors of the same-backend serial row (sparse 2e-3); the serial rows are timed, not asserted: serial first-fit on the same backend runs about as fast as parallel-sparse at 1t, and extra threads pay off only on multi-core hardware");
     table
 }
 

@@ -30,7 +30,8 @@ use crate::protocol::{
     WireRequest, WireResponse,
 };
 use crate::session::SessionRegistry;
-use oblisched::scheduler::Scheduler;
+use oblisched::scheduler::{Scheduler, DEFAULT_MATRIX_BUDGET};
+use oblisched::solve::{SolveRequest, SolveStrategy};
 use oblisched_instances::{build_family, FamilyInstance};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -282,11 +283,13 @@ impl Server {
     fn solve(&self, job: &SolveJob) -> Result<SolveOutcome, WireError> {
         let params = job.params.unwrap_or_default();
         let scheduler = Scheduler::new(params);
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let request = bounded_request(job.request, DEFAULT_MATRIX_BUDGET, cores);
         let instance = build_family(job.family, job.n, job.seed)?;
         let start = self.clock.map(|clock| clock());
         let result = match &instance {
-            FamilyInstance::Planar(inst) => scheduler.solve(inst, &job.request)?,
-            FamilyInstance::Line(inst) => scheduler.solve(inst, &job.request)?,
+            FamilyInstance::Planar(inst) => scheduler.solve(inst, &request)?,
+            FamilyInstance::Line(inst) => scheduler.solve(inst, &request)?,
         };
         let wall_ms = match (self.clock, start) {
             (Some(clock), Some(start)) => clock() - start,
@@ -307,12 +310,31 @@ impl Server {
     }
 }
 
+/// Bounds what one solve line can make the daemon spend: a wire
+/// `matrix_budget` may lower `budget`, the scheduler's own, but never raise
+/// it, and the parallel tier's `num_threads` and the sparse build's
+/// `build_threads` come down to `cores` (`0` keeps meaning one per core).
+/// Schedules do not depend on the thread count, so no answer changes.
+fn bounded_request(mut request: SolveRequest, budget: usize, cores: usize) -> SolveRequest {
+    if let Some(bytes) = &mut request.matrix_budget {
+        *bytes = (*bytes).min(budget);
+    }
+    if let SolveStrategy::Parallel { num_threads } = &mut request.strategy {
+        *num_threads = (*num_threads).min(cores);
+    }
+    if let Some(sparse) = &mut request.sparse {
+        sparse.build_threads = sparse.build_threads.min(cores);
+    }
+    request
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{parse_response, render_request};
-    use oblisched::solve::{PowerAssignment, SolveRequest};
+    use oblisched::solve::PowerAssignment;
     use oblisched_instances::Family;
+    use oblisched_sinr::SparseConfig;
 
     fn test_server(tag: &str) -> Server {
         let dir = std::env::temp_dir().join(format!(
@@ -369,6 +391,80 @@ mod tests {
         match server.dispatch_line(&render_request(&WireRequest::Solve(bad_cutoff))) {
             WireResponse::Error(e) => assert_eq!(e.kind, WireErrorKind::Schedule, "{e}"),
             other => panic!("expected error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(server.registry().data_dir());
+    }
+
+    #[test]
+    fn a_solve_line_cannot_raise_the_budget_or_the_thread_counts() {
+        let threads = |build_threads| SparseConfig {
+            build_threads,
+            ..SparseConfig::default()
+        };
+        let greedy = SolveRequest::parallel(PowerAssignment::SquareRoot, usize::MAX)
+            .with_matrix_budget(usize::MAX)
+            .with_sparse_config(threads(usize::MAX));
+        let bounded = bounded_request(greedy, 1000, 4);
+        assert_eq!(bounded.matrix_budget, Some(1000));
+        assert_eq!(bounded.strategy, SolveStrategy::Parallel { num_threads: 4 });
+        assert_eq!(bounded.sparse, Some(threads(4)));
+        // Negative controls: lower values, `0` (one per core) and absent
+        // fields pass through unchanged.
+        let modest = SolveRequest::parallel(PowerAssignment::SquareRoot, 0)
+            .with_matrix_budget(10)
+            .with_sparse_config(threads(0));
+        assert_eq!(bounded_request(modest, 1000, 4), modest);
+        let at_cap = SolveRequest::parallel(PowerAssignment::SquareRoot, 4)
+            .with_matrix_budget(1000)
+            .with_sparse_config(threads(4));
+        assert_eq!(bounded_request(at_cap, 1000, 4), at_cap);
+        let plain = SolveRequest::first_fit(PowerAssignment::SquareRoot);
+        assert_eq!(bounded_request(plain, 1000, 4), plain);
+    }
+
+    /// Dispatches a scaling n = 40 first-fit solve line whose request ends
+    /// in `extra` (wire fields after `backend`).
+    fn solve_with(server: &Server, extra: &str) -> WireResponse {
+        server.dispatch_line(&format!(
+            r#"{{"solve":{{"family":"scaling","n":40,"seed":1,"request":{{"strategy":"FirstFit","assignment":"SquareRoot","variant":"Bidirectional","seed":0,"backend":"Auto"{extra}}}}}}}"#
+        ))
+    }
+
+    #[test]
+    fn a_wire_budget_may_lower_the_daemons_but_not_raise_it() {
+        let server = test_server("budget");
+        let budget = |response: WireResponse| match response {
+            WireResponse::Solved(outcome) => outcome.engine.budget,
+            other => panic!("expected solved, got {other:?}"),
+        };
+        assert_eq!(
+            budget(solve_with(&server, r#","matrix_budget":1000000000000"#)),
+            67_108_864
+        );
+        // Negative control: a lower budget is the client's to choose.
+        assert_eq!(
+            budget(solve_with(&server, r#","matrix_budget":1000"#)),
+            1000
+        );
+        let _ = std::fs::remove_dir_all(server.registry().data_dir());
+    }
+
+    #[test]
+    fn an_absurd_build_thread_count_still_solves() {
+        // `2^61` build threads once wrapped the sparse build's chunk
+        // arithmetic to a division by zero, answered as `internal`; the
+        // daemon now clamps it to the host's cores before the build spawns.
+        let server = test_server("build-threads");
+        for threads in [1u64 << 61, 1] {
+            let extra = format!(
+                r#","matrix_budget":0,"sparse":{{"cutoff_fraction":0.001,"build_threads":{threads}}}"#
+            );
+            match solve_with(&server, &extra) {
+                WireResponse::Solved(outcome) => {
+                    assert_eq!(outcome.engine.backend, oblisched::EngineBackend::Sparse);
+                }
+                other => panic!("expected solved at {threads} threads, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_dir_all(server.registry().data_dir());
     }

@@ -478,26 +478,20 @@ type Candidate = ([f64; MAX_PORTS], u32);
 /// so the verdict is a conjunction and the order of the checks is free: no
 /// order changes a verdict, and a commit adds the same sums whichever check
 /// ran first. The accumulator remembers the member that last rejected a
-/// candidate, its *witness*, and
+/// candidate, its *witness*, and both insertion entry points,
 /// [`try_insert_with_gain`](ColorAccumulator::try_insert_with_gain) (behind
-/// [`try_insert`](ColorAccumulator::try_insert)) asks it before anything
-/// else. On the sparse-churn tier most rejections come from a member whose
-/// pruning pad leaves almost no headroom, whichever candidate arrives, and
-/// that member nearly always rejects the next candidate too: a repeated
-/// rejection then costs one member check instead of a candidate probe plus
-/// a member scan up to that member. A removal shifts the witness with its
-/// member or forgets it when that member leaves;
+/// [`try_insert`](ColorAccumulator::try_insert)) and
+/// [`try_insert_with_gain_batched`](ColorAccumulator::try_insert_with_gain_batched)
+/// (behind every first-fit driver), ask it before anything else. On the
+/// sparse tiers most rejections come from a member whose pruning pad leaves
+/// almost no headroom, whichever candidate arrives, and that member nearly
+/// always rejects the next candidate too: a repeated rejection then costs
+/// one member check instead of a candidate probe plus a member scan up to
+/// that member. A removal shifts the witness with its member or forgets it
+/// when that member leaves;
 /// [`clear`](ColorAccumulator::clear) and
 /// [`reset_for`](ColorAccumulator::reset_for) forget it and
 /// [`rebuild`](ColorAccumulator::rebuild) keeps it.
-///
-/// [`try_insert_with_gain_batched`](ColorAccumulator::try_insert_with_gain_batched)
-/// records the witness but never asks it. Its drivers, batched first-fit
-/// and the tile-sharded parallel merge, are held against each other by
-/// experiment E11, whose floor wants the parallel tier at least twice as
-/// fast as serial sparse first-fit on the same backend. Asking the witness
-/// there speeds up serial sparse first-fit several times over but leaves
-/// the parallel tier where it is, which would break that floor.
 #[derive(Debug)]
 pub struct ColorAccumulator<'s, S: ?Sized> {
     system: &'s S,
@@ -521,7 +515,7 @@ pub struct ColorAccumulator<'s, S: ?Sized> {
     /// Drift guard threshold: rebuild exactly after this many removals.
     rebuild_interval: usize,
     /// Position of the member that last rejected a candidate, asked first by
-    /// [`try_insert_with_gain`](ColorAccumulator::try_insert_with_gain).
+    /// both insertion entry points.
     /// `None` until a member rejects, and again after that member leaves or
     /// the class is emptied.
     witness: Option<usize>,
@@ -831,17 +825,7 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// candidate probe (see [the type docs](ColorAccumulator)); its reject
     /// ends the attempt in `O(ports)` lookups.
     pub fn try_insert_with_gain(&mut self, i: usize, gain: f64) -> bool {
-        let (threshold, limit_hi) = self.gain_limits(i, gain);
-        if let Some(pos) = self.witness {
-            let (j, noise) = (self.members[pos], self.system.noise());
-            if !self.member_check(pos, j, i, threshold, noise) {
-                return false;
-            }
-        }
-        let Some(cand) = self.candidate_probe(i, limit_hi) else {
-            return false;
-        };
-        self.admit_with_candidate(i, threshold, cand)
+        self.try_insert_with_gain_batched(i, gain, &ProbeBatch::new(), 0)
     }
 
     /// [`try_insert_with_gain`](ColorAccumulator::try_insert_with_gain) fed
@@ -850,7 +834,8 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
     /// heuristic prefers them), the candidate sums come from the batch's
     /// single bucketed walk instead of a fresh per-class row scan; otherwise
     /// this falls back to the sequential probe. Verdicts and committed sums
-    /// are bit-for-bit identical to the sequential path either way.
+    /// are bit-for-bit identical to the sequential path either way, and the
+    /// witness is asked first on both.
     ///
     /// `class` is the bucket index this accumulator's members carry in the
     /// `color_of` map the batch was gathered with.
@@ -862,6 +847,12 @@ impl<'s, S: GainBackend + ?Sized> ColorAccumulator<'s, S> {
         class: usize,
     ) -> bool {
         let (threshold, limit_hi) = self.gain_limits(i, gain);
+        if let Some(pos) = self.witness {
+            let (j, noise) = (self.members[pos], self.system.noise());
+            if !self.member_check(pos, j, i, threshold, noise) {
+                return false;
+            }
+        }
         let probe = if self.batch_applies(batch) {
             batch.class_candidate(class, self.members.len(), limit_hi)
         } else {
@@ -1909,47 +1900,63 @@ mod tests {
         let inst = Instance::new(LineMetric::new(points), requests).unwrap();
         let params = SinrParams::new(3.0, 1.0).unwrap();
         let eval = inst.evaluator(params, &ObliviousPower::Uniform);
-        for variant in Variant::all() {
-            let matrix = eval.view(variant).cached();
-            let counting = Counting {
-                inner: &matrix,
-                lookups: std::cell::Cell::new(0),
-            };
-            let ports = counting.num_ports();
-            let class = [0, 1, 2, 3, 4];
-            let mut acc = ColorAccumulator::with_members(&counting, &class);
-            let mut far = 5..inst.len();
-            // Rejects the next far candidate at the class's own largest
-            // feasible gain, where its weakest member has almost no
-            // headroom, and returns the member-side lookups it took.
-            let mut reject = |acc: &mut ColorAccumulator<'_, Counting<'_, GainMatrix>>| {
-                let gain = (0..acc.len())
-                    .map(|pos| acc.sinr_of(pos))
-                    .fold(f64::INFINITY, f64::min);
-                let i = far.next().expect("enough far candidates");
-                counting.lookups.set(0);
-                assert!(
-                    !acc.try_insert_with_gain(i, gain),
-                    "far candidate {i} accepted ({variant})"
-                );
-                counting.lookups.get()
-            };
-            // The first rejection scans up to the weakest member, 3.
-            assert_eq!(reject(&mut acc), 4 * ports, "{variant}");
-            assert!(reject(&mut acc) <= ports, "{variant}");
-            // A removal before the witness shifts it along with its member.
-            assert!(acc.remove(0));
-            assert!(reject(&mut acc) <= ports, "{variant}");
-            // Negative controls: once the witness leaves, or the class is
-            // emptied, the next rejection scans the class again.
-            assert!(acc.remove(3));
-            assert!(reject(&mut acc) > ports, "{variant}");
-            assert!(reject(&mut acc) <= ports, "{variant}");
-            acc.clear();
-            for &m in &class {
-                acc.insert_unchecked(m);
+        // Both entry points: the sequential one, and the batched one fed a
+        // batch gathered for the candidate with the class as bucket 0.
+        for batched in [false, true] {
+            for variant in Variant::all() {
+                let matrix = eval.view(variant).cached();
+                let counting = Counting {
+                    inner: &matrix,
+                    lookups: std::cell::Cell::new(0),
+                };
+                let ports = counting.num_ports();
+                let class = [0, 1, 2, 3, 4];
+                let mut acc = ColorAccumulator::with_members(&counting, &class);
+                let mut far = 5..inst.len();
+                let mut batch = ProbeBatch::new();
+                // Rejects the next far candidate at the class's own largest
+                // feasible gain, where its weakest member has almost no
+                // headroom, and returns the member-side lookups it took.
+                let mut reject = |acc: &mut ColorAccumulator<'_, Counting<'_, GainMatrix>>| {
+                    let gain = (0..acc.len())
+                        .map(|pos| acc.sinr_of(pos))
+                        .fold(f64::INFINITY, f64::min);
+                    let i = far.next().expect("enough far candidates");
+                    let accepted = if batched {
+                        let mut color_of = vec![NO_COLOR; inst.len()];
+                        for &m in acc.members() {
+                            color_of[m] = 0;
+                        }
+                        // The dense matrix stores no rows, so the batch
+                        // falls back to the candidate probe.
+                        batch.gather(&counting, i, 1, &color_of);
+                        counting.lookups.set(0);
+                        acc.try_insert_with_gain_batched(i, gain, &batch, 0)
+                    } else {
+                        counting.lookups.set(0);
+                        acc.try_insert_with_gain(i, gain)
+                    };
+                    assert!(!accepted, "far candidate {i} accepted ({variant})");
+                    counting.lookups.get()
+                };
+                let entry = if batched { "batched" } else { "sequential" };
+                // The first rejection scans up to the weakest member, 3.
+                assert_eq!(reject(&mut acc), 4 * ports, "{variant}, {entry}");
+                assert!(reject(&mut acc) <= ports, "{variant}, {entry}");
+                // A removal before the witness shifts it along with its member.
+                assert!(acc.remove(0));
+                assert!(reject(&mut acc) <= ports, "{variant}, {entry}");
+                // Negative controls: once the witness leaves, or the class is
+                // emptied, the next rejection scans the class again.
+                assert!(acc.remove(3));
+                assert!(reject(&mut acc) > ports, "{variant}, {entry}");
+                assert!(reject(&mut acc) <= ports, "{variant}, {entry}");
+                acc.clear();
+                for &m in &class {
+                    acc.insert_unchecked(m);
+                }
+                assert_eq!(reject(&mut acc), 4 * ports, "{variant}, {entry}");
             }
-            assert_eq!(reject(&mut acc), 4 * ports, "{variant}");
         }
     }
 

@@ -205,8 +205,9 @@ impl SparseGainMatrix {
         };
         // Workers claim fixed-size chunks off a shared counter, which
         // balances the load when dense regions make some rows much costlier
-        // than others.
-        let chunk = n.div_ceil(threads * 8).max(16);
+        // than others. The product saturates: a thread count near
+        // `usize::MAX / 8` must not wrap it to a zero divisor.
+        let chunk = n.div_ceil(threads.saturating_mul(8)).max(16);
         let next = std::sync::atomic::AtomicUsize::new(0);
         let work = || {
             let mut scratch = Scratch::new(n);
@@ -534,7 +535,9 @@ mod tests {
                 ..SparseConfig::default()
             },
         );
-        for threads in [2usize, 8] {
+        // `1 << 61` once wrapped the chunk arithmetic to a division by zero;
+        // the 12 rows fit one chunk, so no count spawns a helper here.
+        for threads in [2usize, 8, 1 << 61] {
             let parallel = SparseGainMatrix::build(
                 &view,
                 &SparseConfig {
